@@ -45,7 +45,6 @@ class Combine(Enum):
 
 class MonoMethod(Enum):
     ACWR_MURRAY = "ACWR_Murray"
-    ACWR_QUINTILE = "ACWR_Quintile"
     MSWR_QUINTILE = "MSWR_Quintile"
 
 
@@ -148,12 +147,12 @@ def group_likelihood(table: TrainingTable, column: str,
 
 
 def _single_prediction(table, feature, method, train_table):
-    if method in (MonoMethod.ACWR_MURRAY, MonoMethod.ACWR_QUINTILE):
+    if method is MonoMethod.ACWR_MURRAY:
         col = feature + "_acwr"
         if col not in table.feature_names:
             raise MissingColumn(f"table has no column '{col}'")
-        # both ACWR variants fire below the ratio-1 boundary, where the
-        # highest injury likelihood was observed
+        # fire below the ratio-1 boundary, where the highest injury
+        # likelihood was observed
         return (table.column(col) < 1.0).astype(int)
     col = feature + "_mswr"
     if col not in table.feature_names:

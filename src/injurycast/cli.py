@@ -11,9 +11,8 @@ from .data_model import assign_labels, parse_season, write_season_csvs
 from .errors import InjurycastError
 from .features import TrainingTable, build_training_table
 from .generator import GeneratorConfig, PlantedRule, generate
-from .learners import tune
-from .pipeline import PipelineConfig, compare_forecasters, render_comparison, run_pipeline
-from .resampling import ResamplingConfig, adasyn
+from .pipeline import (PipelineConfig, _select_and_tune, compare_forecasters,
+                       render_comparison, run_pipeline)
 from .rules import extract_rules, render_handbook, rule_stats
 from .simulate import feature_trace, savings, walk_forward
 from .tree import DecisionTreeModel, fit_tree
@@ -66,12 +65,11 @@ def _cmd_train(args):
     table = TrainingTable.from_csv(args.table)
     cfg = PipelineConfig(seed=args.seed)
     report = run_pipeline(table, cfg)
-    # deployable model: refit on the whole oversampled table with the
-    # pipeline's selected features and tuned hyperparameters
-    balanced = adasyn(table, ResamplingConfig(seed=args.seed))
-    selected = balanced.select_features(report.selected_features)
-    hp = tune(selected, cfg.grid_list(), folds=cfg.tune_folds, seed=args.seed)
-    model = fit_tree(selected, hp=hp, seed=args.seed)
+    # deployable model: the pipeline's selected features, tuned again and
+    # refit on the whole oversampled table
+    balanced, names, hp = _select_and_tune(table, cfg, args.seed,
+                                           names=report.selected_features)
+    model = fit_tree(balanced.select_features(names), hp=hp, seed=args.seed)
     _write(args.out, model.to_json() + "\n")
     _write(args.report, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     return 0
@@ -93,10 +91,10 @@ def _cmd_simulate(args):
         lines.append(f"{o.week},{int(o.degenerate)},{o.detected},{o.missed},"
                      f"{o.cumulative_f1:.6f},\"{' '.join(o.selected_features)}\"")
     _write(args.out, "\n".join(lines) + "\n")
+    trace = feature_trace(outcomes)
     report = {
-        "feature_trace": {str(k): v for k, v in
-                          feature_trace(outcomes)["weeks"].items()},
-        "stabilization_week": feature_trace(outcomes)["stabilization_week"],
+        "feature_trace": {str(k): v for k, v in trace["weeks"].items()},
+        "stabilization_week": trace["stabilization_week"],
         "cost": savings(outcomes, log.injuries, args.salary).to_dict(),
     }
     _write(args.report, json.dumps(report, indent=2, sort_keys=True) + "\n")

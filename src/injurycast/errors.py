@@ -69,6 +69,10 @@ class OneClassOnly(InjurycastError):
     pass
 
 
+class SyntheticEvaluation(InjurycastError):
+    """An evaluation fold holds synthetic (oversampled) rows."""
+
+
 class ClassTooSmall(InjurycastError):
     pass
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import WORKLOAD_FEATURES, LabelingResult
-from .errors import EmptySeries, MissingWindow
+from .errors import EmptySeries, MalformedRow, MissingWindow
 
 PERSONAL_FEATURES = ("age", "bmi", "role", "pi", "play_time", "games")
 
@@ -107,25 +107,45 @@ class TrainingTable:
 
     @classmethod
     def from_csv(cls, path) -> "TrainingTable":
+        """Read a table written by to_csv; a short row or a cell that is not a
+        finite number raises MalformedRow with its line and column."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
-            has_meta = header[0] == "player_id"
-            off = 3 if has_meta else 0
+            header = next(reader, None)
+            if not header:
+                raise MalformedRow(path, 1, "", "missing header")
+            off = 3 if header[0] == "player_id" else 0
             names = header[off:-1]
-            X, y, pids, dates, synth = [], [], [], [], []
+            parsers = [str, lambda text: dt.date.fromisoformat(text) if text else None,
+                       lambda text: bool(int(text))][:off] + [float] * len(names) + [int]
+            X, y, pids, dates, synth, lines = [], [], [], [], [], []
             for row in reader:
-                if has_meta:
-                    pids.append(row[0])
-                    dates.append(dt.date.fromisoformat(row[1]) if row[1] else None)
-                    synth.append(bool(int(row[2])))
-                else:
-                    pids.append("")
-                    dates.append(None)
-                    synth.append(False)
-                X.append([float(v) for v in row[off:-1]])
-                y.append(int(row[-1]))
-        return cls(names, np.array(X), np.array(y), pids, dates, np.array(synth))
+                if len(row) != len(header):
+                    raise MalformedRow(path, reader.line_num,
+                                       header[min(len(row), len(header) - 1)],
+                                       f"expected {len(header)} cells, got {len(row)}")
+                try:
+                    cells = [parse(text) for parse, text in zip(parsers, row)]
+                except ValueError:
+                    for column, parse, text in zip(header, parsers, row):
+                        try:
+                            parse(text)
+                        except ValueError:
+                            raise MalformedRow(path, reader.line_num, column,
+                                               f"cannot parse {text!r}") from None
+                pid, date, flag = cells[:off] or ("", None, False)
+                pids.append(pid)
+                dates.append(date)
+                synth.append(flag)
+                X.append(cells[off:-1])
+                y.append(cells[-1])
+                lines.append(reader.line_num)
+        X = np.array(X, dtype=float).reshape(len(y), len(names))
+        bad = np.argwhere(~np.isfinite(X))
+        if len(bad):
+            i, j = bad[0]
+            raise MalformedRow(path, lines[i], names[j], f"non-finite value {float(X[i, j])}")
+        return cls(names, X, np.array(y), pids, dates, np.array(synth))
 
 
 @dataclass

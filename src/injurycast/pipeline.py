@@ -5,6 +5,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .baselines import Combine, MonoMethod, baseline_predict, mono_forecast
+from .errors import NonConvergence, OneClassOnly, SyntheticEvaluation
 from .learners import default_grid, fit_forest, fit_logit, rfecv, tune
 from .metrics import (
     ConfusionMatrix,
@@ -14,7 +16,7 @@ from .metrics import (
     stratified_kfold,
     stratified_split,
 )
-from .resampling import ResamplingConfig, adasyn
+from .resampling import ResamplingConfig, adasyn, standardize
 from .tree import fit_tree
 
 
@@ -29,7 +31,6 @@ class PipelineConfig:
     rfecv_folds: int = 3
     train_fraction: float = 0.3
     k_neighbors: int = 5
-    reselect_per_fold: bool = False  # re-run selection+tuning inside step 3
 
     def grid_list(self):
         return list(self.grid) if self.grid is not None else default_grid()
@@ -41,141 +42,100 @@ def _oversampled(table, cfg: PipelineConfig, seed: int):
     return adasyn(table, ResamplingConfig(k_neighbors=cfg.k_neighbors, seed=seed))
 
 
-def _select_and_tune(train_table, cfg: PipelineConfig, seed: int):
-    balanced = _oversampled(train_table, cfg, seed)
-    if cfg.feature_selection:
-        subset = rfecv(balanced, folds=cfg.rfecv_folds, seed=seed)
-        names = subset.names
-    else:
-        names = list(train_table.feature_names)
+def _select_and_tune(table, cfg: PipelineConfig, seed: int, names=None):
+    """Oversample the table, select features by RFECV unless `names` is given, and
+    tune the tree on the selection. Returns (oversampled table, names, hyperparams)."""
+    balanced = _oversampled(table, cfg, seed)
+    if names is None:
+        names = (rfecv(balanced, folds=cfg.rfecv_folds, seed=seed).names
+                 if cfg.feature_selection else list(table.feature_names))
     hp = tune(balanced.select_features(names), cfg.grid_list(),
               folds=cfg.tune_folds, seed=seed)
-    return names, hp
+    return balanced, names, hp
+
+
+def _evaluate(table, cfg: PipelineConfig, forecast):
+    """Steps 1-3 of run_pipeline for every forecaster that `forecast` yields on a
+    fold as (name, predictions, scores). Returns the split sizes, names,
+    hyperparameters and, per forecaster, (confusion, scores, labels) over all folds."""
+    a_idx, b_idx = stratified_split(table.y, cfg.train_fraction, cfg.seed)
+    t_train = table.take(a_idx)
+    t_test = table.take(b_idx)
+    _, names, hp = _select_and_tune(t_train, cfg, cfg.seed)
+
+    runs = {}
+    for f, (fit_idx, eval_idx) in enumerate(
+            stratified_kfold(t_test.y, cfg.folds, cfg.seed + 1)):
+        raw_train = t_test.take(fit_idx)
+        fold_eval = t_test.take(eval_idx)
+        if fold_eval.synthetic.any():
+            raise SyntheticEvaluation(f"evaluation fold {f} holds synthetic rows; "
+                                      "a table to evaluate must be observed sessions only")
+        fold_train = _oversampled(raw_train, cfg, cfg.seed + 100 + f)
+        for name, pred, score in forecast(cfg, f, raw_train, fold_train, fold_eval,
+                                          names, hp):
+            runs.setdefault(name, []).append((pred, score, fold_eval.y))
+    pooled = {}
+    for name, folds in runs.items():
+        pred, score, label = (np.concatenate(part) for part in zip(*folds))
+        pooled[name] = (ConfusionMatrix.from_predictions(label, pred), score, label)
+    return {"train": len(t_train), "test": len(t_test)}, names, hp, pooled
+
+
+def _tree_forecast(cfg, f, raw_train, train, test, names, hp):
+    model = fit_tree(train.select_features(names), hp=hp, seed=cfg.seed)
+    yield "DT", *model.predict(test.select_features(names).X)
 
 
 def run_pipeline(table, cfg: PipelineConfig = PipelineConfig()) -> EvalReport:
-    """Execute the three-step procedure and pool metrics over the test folds.
+    """Execute the three-step procedure with the decision tree; pool metrics over the test folds.
 
     Step 1 splits the table into a 30% tuning part and a 70% test part,
     stratified. Step 2 oversamples the tuning part, selects features and fits
     hyperparameters. Step 3 runs a stratified CV on the test part where each
     training fold is oversampled and the evaluation fold never is.
     """
-    a_idx, b_idx = stratified_split(table.y, cfg.train_fraction, cfg.seed)
-    t_train = table.take(a_idx)
-    t_test = table.take(b_idx)
-
-    names, hp = _select_and_tune(t_train, cfg, cfg.seed)
-
-    cm = ConfusionMatrix(0, 0, 0, 0)
-    scores = np.empty(len(t_test))
-    labels = np.empty(len(t_test), dtype=int)
-    pos = 0
-    for f, (fit_idx, eval_idx) in enumerate(
-            stratified_kfold(t_test.y, cfg.folds, cfg.seed + 1)):
-        fold_train = t_test.take(fit_idx)
-        fold_eval = t_test.take(eval_idx)
-        assert not fold_eval.synthetic.any()
-        fold_names, fold_hp = (names, hp)
-        if cfg.reselect_per_fold:
-            fold_names, fold_hp = _select_and_tune(fold_train, cfg, cfg.seed + 10 + f)
-        fold_train = _oversampled(fold_train, cfg, cfg.seed + 100 + f)
-        model = fit_tree(fold_train.select_features(fold_names), hp=fold_hp,
-                         seed=cfg.seed)
-        pred, score = model.predict(fold_eval.select_features(fold_names).X)
-        cm = cm + ConfusionMatrix.from_predictions(fold_eval.y, pred)
-        scores[pos:pos + len(fold_eval)] = score
-        labels[pos:pos + len(fold_eval)] = fold_eval.y
-        pos += len(fold_eval)
-
-    return EvalReport(
-        per_class=metrics(cm),
-        auc=auc(scores[:pos], labels[:pos]),
-        confusion=cm,
-        seed=cfg.seed,
-        split_sizes={"train": len(t_train), "test": len(t_test)},
-        selected_features=list(names),
-        hyperparams=hp.to_dict(),
-    )
-
-
-def _standardized(train_table, other_table):
-    mu = train_table.X.mean(axis=0)
-    sd = train_table.X.std(axis=0)
-    sd[sd == 0] = 1.0
-    a = train_table.take(np.arange(len(train_table)))
-    b = other_table.take(np.arange(len(other_table)))
-    a.X = (a.X - mu) / sd
-    b.X = (b.X - mu) / sd
-    return a, b
+    split_sizes, names, hp, runs = _evaluate(table, cfg, _tree_forecast)
+    cm, scores, labels = runs["DT"]
+    return EvalReport(per_class=metrics(cm), auc=auc(scores, labels), confusion=cm,
+                      seed=cfg.seed, split_sizes=split_sizes,
+                      selected_features=list(names), hyperparams=hp.to_dict())
 
 
 def compare_forecasters(table, cfg: PipelineConfig = PipelineConfig(),
                         n_forest_trees: int = 50) -> dict:
     """Evaluate DT, RF, LR, the four baselines and the combined ACWR forecasters
     under the same split/fold protocol; returns forecaster name -> EvalReport."""
-    from .baselines import Combine, MonoMethod, baseline_predict, mono_forecast
-
-    a_idx, b_idx = stratified_split(table.y, cfg.train_fraction, cfg.seed)
-    t_train = table.take(a_idx)
-    t_test = table.take(b_idx)
-    names, hp = _select_and_tune(t_train, cfg, cfg.seed)
-
-    runs = {}
-
-    def record(name, y_true, pred, score):
-        cm = ConfusionMatrix.from_predictions(y_true, pred)
-        if name not in runs:
-            runs[name] = {"cm": ConfusionMatrix(0, 0, 0, 0), "scores": [], "labels": []}
-        runs[name]["cm"] = runs[name]["cm"] + cm
-        runs[name]["scores"].extend(np.asarray(score, dtype=float))
-        runs[name]["labels"].extend(np.asarray(y_true, dtype=int))
-
-    for f, (fit_idx, eval_idx) in enumerate(
-            stratified_kfold(t_test.y, cfg.folds, cfg.seed + 1)):
-        fold_train_raw = t_test.take(fit_idx)
-        fold_eval = t_test.take(eval_idx)
-        fold_train = _oversampled(fold_train_raw, cfg, cfg.seed + 100 + f)
-
-        dt_model = fit_tree(fold_train.select_features(names), hp=hp, seed=cfg.seed)
-        pred, score = dt_model.predict(fold_eval.select_features(names).X)
-        record("DT", fold_eval.y, pred, score)
-
-        rf_model = fit_forest(fold_train.select_features(names), n_forest_trees,
-                              hp=hp, seed=cfg.seed)
-        pred, score = rf_model.predict(fold_eval.select_features(names).X)
-        record("RF", fold_eval.y, pred, score)
-
-        std_train, std_eval = _standardized(fold_train.select_features(names),
-                                            fold_eval.select_features(names))
+    def forecast(cfg, f, raw_train, train, test, names, hp):
+        yield from _tree_forecast(cfg, f, raw_train, train, test, names, hp)
+        x_train, x_test = train.select_features(names), test.select_features(names)
+        forest = fit_forest(x_train, n_forest_trees, hp=hp, seed=cfg.seed)
+        yield "RF", *forest.predict(x_test.X)
         try:
-            lr_model = fit_logit(std_train, seed=cfg.seed, tol=1e-4)
-            pred, score = lr_model.predict(std_eval.X)
-            record("LR", fold_eval.y, pred, score)
-        except Exception:
-            record("LR", fold_eval.y, np.zeros(len(fold_eval), dtype=int),
-                   np.full(len(fold_eval), 0.5))
-
+            logit = fit_logit(replace(x_train, X=standardize(x_train.X, x_train.X)),
+                              seed=cfg.seed, tol=1e-4)
+        except NonConvergence:
+            yield "LR", np.zeros(len(test), dtype=int), np.full(len(test), 0.5)
+        else:
+            yield "LR", *logit.predict(standardize(x_test.X, x_train.X))
         for kind in ("B1", "B2", "B3", "B4"):
-            pred = baseline_predict(kind, fold_eval, seed=cfg.seed + f)
-            record(kind, fold_eval.y, pred, pred.astype(float))
+            pred = baseline_predict(kind, test, seed=cfg.seed + f)
+            yield kind, pred, pred.astype(float)
+        for combine, name in ((Combine.VOTE, "C_vote"), (Combine.ALL, "C_all"),
+                              (Combine.ONE, "C_one")):
+            pred = mono_forecast(test, method=MonoMethod.ACWR_MURRAY,
+                                 combine=combine, train_table=raw_train)
+            yield name, pred, pred.astype(float)
 
-        for combine, label in ((Combine.VOTE, "C_vote"), (Combine.ALL, "C_all"),
-                               (Combine.ONE, "C_one")):
-            pred = mono_forecast(fold_eval, method=MonoMethod.ACWR_MURRAY,
-                                 combine=combine, train_table=fold_train_raw)
-            record(label, fold_eval.y, pred, pred.astype(float))
-
+    _, names, hp, runs = _evaluate(table, cfg, forecast)
     reports = {}
-    for name, run in runs.items():
-        labels = np.asarray(run["labels"])
-        scores = np.asarray(run["scores"])
+    for name, (cm, scores, labels) in runs.items():
         try:
             auc_val = auc(scores, labels)
-        except Exception:
+        except OneClassOnly:
             auc_val = float("nan")
-        reports[name] = EvalReport(per_class=metrics(run["cm"]), auc=auc_val,
-                                   confusion=run["cm"], seed=cfg.seed,
+        reports[name] = EvalReport(per_class=metrics(cm), auc=auc_val,
+                                   confusion=cm, seed=cfg.seed,
                                    selected_features=list(names),
                                    hyperparams=hp.to_dict())
     return reports

@@ -23,9 +23,11 @@ class ResamplingConfig:
             raise ValueError("balance_ratio must be in (0, 1]")
 
 
-def _standardize(X: np.ndarray) -> np.ndarray:
-    mu = X.mean(axis=0)
-    sd = X.std(axis=0)
+def standardize(X: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Centre and scale X by the column means and standard deviations of ref;
+    constant columns keep scale 1."""
+    mu = ref.mean(axis=0)
+    sd = ref.std(axis=0)
     sd[sd == 0] = 1.0
     return (X - mu) / sd
 
@@ -57,7 +59,7 @@ def adasyn(table: TrainingTable, cfg: ResamplingConfig) -> TrainingTable:
         return table
 
     rng = np.random.default_rng(cfg.seed)
-    Z = _standardize(table.X)
+    Z = standardize(table.X, table.X)
     Zmin = Z[minority]
 
     # majority fraction among the k nearest neighbors in the full table

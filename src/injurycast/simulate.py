@@ -10,9 +10,8 @@ import numpy as np
 from .data_model import SeasonLog, assign_labels
 from .errors import InsufficientHistory
 from .features import FeatureSpec, build_training_table
-from .learners import rfecv, tune
 from .metrics import ConfusionMatrix, metrics
-from .pipeline import PipelineConfig, _oversampled
+from .pipeline import PipelineConfig, _select_and_tune
 from .tree import fit_tree
 
 
@@ -67,15 +66,6 @@ class CostReport:
                 "assumes_full_prevention": True}
 
 
-def _truncate_log(log: SeasonLog, cutoff: dt.date) -> SeasonLog:
-    return SeasonLog(
-        players=dict(log.players),
-        sessions={pid: [s for s in seq if s.date <= cutoff]
-                  for pid, seq in log.sessions.items()},
-        injuries=[i for i in log.injuries if i.onset_date <= cutoff],
-    )
-
-
 def season_start(log: SeasonLog) -> dt.date:
     dates = [s.date for seq in log.sessions.values() for s in seq]
     if not dates:
@@ -86,6 +76,17 @@ def season_start(log: SeasonLog) -> dt.date:
 def week_of(date: dt.date, start: dt.date) -> int:
     """Week index of a date; weeks are consecutive 7-day blocks from the first session."""
     return (date - start).days // 7 + 1
+
+
+def _week_tables(table, onset_by_row: dict, cutoff: dt.date):
+    """Training rows up to the cutoff, labelled only with injuries whose onset is
+    known by then, and the forecast rows of the next seven days with final labels."""
+    next_cutoff = cutoff + dt.timedelta(days=7)
+    train = table.take(np.flatnonzero([d <= cutoff for d in table.dates]))
+    onsets = (onset_by_row[(p, d)] for p, d in zip(train.player_ids, train.dates))
+    train.y = train.y * np.array([o is not None and o <= cutoff for o in onsets], dtype=int)
+    forecast = table.take(np.flatnonzero([cutoff < d <= next_cutoff for d in table.dates]))
+    return train, forecast
 
 
 def walk_forward(log: SeasonLog, cfg: PipelineConfig = PipelineConfig(),
@@ -104,33 +105,18 @@ def walk_forward(log: SeasonLog, cfg: PipelineConfig = PipelineConfig(),
         raise InsufficientHistory(
             f"season spans {n_weeks} weeks; need at least {start_week + 1}")
 
-    # final-knowledge labels are the evaluation ground truth
-    final_labels = assign_labels(log, horizon_days)
-    truth = {(ls.session.player_id, ls.session.date): ls.label
-             for ls in final_labels.labeled}
+    # one table from final-knowledge labels: its labels are the ground truth, and
+    # every feature is causal, so a week's rows equal those of a log cut at its end
+    labeling = assign_labels(log, horizon_days)
+    table, _ = build_training_table(labeling, log.players, spec)
     onset_by_row = {(ls.session.player_id, ls.session.date): ls.injury_onset
-                    for ls in final_labels.labeled}
+                    for ls in labeling.labeled}
 
     outcomes = []
     cum_cm = ConfusionMatrix(0, 0, 0, 0)
     for week in range(start_week, n_weeks):
         cutoff = start + dt.timedelta(days=7 * week - 1)  # end of week `week`
-        next_cutoff = cutoff + dt.timedelta(days=7)
-        visible = _truncate_log(log, next_cutoff)
-        labeling = assign_labels(visible, horizon_days)
-        table, _ = build_training_table(labeling, log.players, spec)
-
-        dates = np.array([d.toordinal() for d in table.dates])
-        train_mask = dates <= cutoff.toordinal()
-        t_i = table.take(np.flatnonzero(train_mask))
-        # an injury only becomes a training label once its onset is known
-        t_i.y = t_i.y * np.asarray(
-            [onset_by_row.get((p, d)) is not None
-             and onset_by_row[(p, d)] <= cutoff
-             for p, d in zip(t_i.player_ids, t_i.dates)], dtype=int)
-
-        next_mask = (dates > cutoff.toordinal()) & (dates <= next_cutoff.toordinal())
-        t_next = table.take(np.flatnonzero(next_mask))
+        t_i, t_next = _week_tables(table, onset_by_row, cutoff)
 
         degenerate = int(t_i.y.sum()) < 2
         if degenerate:
@@ -138,24 +124,15 @@ def walk_forward(log: SeasonLog, cfg: PipelineConfig = PipelineConfig(),
             names = []
         else:
             seed = cfg.seed + week
-            balanced = _oversampled(t_i, PipelineConfig(
-                oversample=cfg.oversample, k_neighbors=cfg.k_neighbors), seed)
-            if cfg.feature_selection:
-                names = rfecv(balanced, folds=cfg.rfecv_folds, seed=seed).names
-            else:
-                names = list(t_i.feature_names)
-            hp = tune(balanced.select_features(names), cfg.grid_list(),
-                      folds=cfg.tune_folds, seed=seed)
+            balanced, names, hp = _select_and_tune(t_i, cfg, seed)
             model = fit_tree(balanced.select_features(names), hp=hp, seed=seed)
             preds, _ = model.predict(t_next.select_features(names).X)
 
-        true_next = np.array([truth.get((p, d), 0)
-                              for p, d in zip(t_next.player_ids, t_next.dates)], dtype=int)
-        week_cm = ConfusionMatrix.from_predictions(true_next, preds)
+        week_cm = ConfusionMatrix.from_predictions(t_next.y, preds)
         cum_cm = cum_cm + week_cm
         predictions = [
             (p, d, int(pr), int(lb), onset_by_row.get((p, d)))
-            for p, d, pr, lb in zip(t_next.player_ids, t_next.dates, preds, true_next)]
+            for p, d, pr, lb in zip(t_next.player_ids, t_next.dates, preds, t_next.y)]
         outcomes.append(WeeklyOutcome(
             week=week,
             degenerate=degenerate,

@@ -85,18 +85,24 @@ def table_path(season_files):
     return out
 
 
+@pytest.fixture(scope="module")
+def trained(season_files, table_path):
+    model_path = str(season_files["root"] / "model.json")
+    report_path = str(season_files["root"] / "report.json")
+    code = run("train", "--table", table_path, "--seed", "0",
+               "--out", model_path, "--report", report_path)
+    assert code == 0
+    return model_path, report_path
+
+
 class TestFeaturizeTrainRules:
     def test_featurize_output_loads(self, table_path):
         table = TrainingTable.from_csv(table_path)
         assert len(table.feature_names) == 55
         assert table.y.sum() > 0
 
-    def test_train_then_rules(self, season_files, table_path):
-        model_path = str(season_files["root"] / "model.json")
-        report_path = str(season_files["root"] / "report.json")
-        code = run("train", "--table", table_path, "--seed", "0",
-                   "--out", model_path, "--report", report_path)
-        assert code == 0
+    def test_train_then_rules(self, season_files, table_path, trained):
+        model_path, report_path = trained
         report = json.loads(open(report_path).read())
         assert set(report) >= {"per_class", "auc", "selected_features"}
 
@@ -116,3 +122,37 @@ class TestFeaturizeTrainRules:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "forecaster,class,precision,recall,f1,auc"
         assert any(line.startswith("DT,") for line in out.splitlines())
+
+
+class TestBadTable:
+    @pytest.mark.parametrize("text, column", [
+        ("a,b,label\n1.0,nan,0\n", "b"),
+        ("a,b,label\n1.0,inf,0\n", "b"),
+        ("a,b,label\n1.0,x,0\n", "b"),
+        ("a,b,label\n1.0,0\n", "label"),
+    ])
+    def test_malformed_table_is_one_line_error(self, tmp_path, capsys, trained,
+                                               text, column):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        for argv in (["compare", "--table", str(bad), "--seed", "0"],
+                     ["train", "--table", str(bad), "--seed", "0",
+                      "--out", str(tmp_path / "m.json")],
+                     ["rules", "--model", trained[0], "--table", str(bad)]):
+            assert run(*argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert f"bad.csv:2 column '{column}'" in err
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_synthetic_rows_are_rejected(self, tmp_path, capsys, table_path, command):
+        table = TrainingTable.from_csv(table_path)
+        table.synthetic[:] = True
+        path = str(tmp_path / "synthetic.csv")
+        table.to_csv(path, include_meta=True)
+        argv = [command, "--table", path, "--seed", "0"]
+        if command == "train":
+            argv += ["--out", str(tmp_path / "m.json")]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "synthetic" in err

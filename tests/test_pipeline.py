@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from injurycast.errors import SyntheticEvaluation
 from injurycast.metrics import stratified_split
 from injurycast.pipeline import (
     PipelineConfig,
@@ -50,6 +51,12 @@ class TestRunPipeline:
         report = run_pipeline(table, cfg)
         assert report.selected_features == list(table.feature_names)
         assert 0.0 <= report.per_class["injury"]["f1"] <= 1.0
+
+    def test_synthetic_rows_never_reach_evaluation(self):
+        table = planted_table(n=200, seed=4, noise_features=1)
+        table.synthetic[::2] = True
+        with pytest.raises(SyntheticEvaluation):
+            run_pipeline(table, PipelineConfig(seed=0, feature_selection=False))
 
     def test_seed_changes_outcome_inputs(self):
         table = planted_table(n=300, seed=2, noise_features=2)

@@ -1,11 +1,15 @@
 import datetime as dt
 from decimal import Decimal
 
+import numpy as np
 import pytest
 
+from injurycast.data_model import SeasonLog, assign_labels
 from injurycast.errors import InsufficientHistory
+from injurycast.features import build_training_table
 from injurycast.pipeline import PipelineConfig
 from injurycast.simulate import (
+    _week_tables,
     cost,
     feature_trace,
     savings,
@@ -106,6 +110,47 @@ class TestWalkForward:
         assert set(d) >= {"week", "degenerate", "cutoff", "train_max_date",
                           "detected", "missed", "cumulative_f1",
                           "selected_features", "predictions"}
+
+
+def truncated_week_tables(log, final_onsets, cutoff):
+    """Reference: rebuild the table from the log cut at the end of the forecast
+    week, then keep training labels whose onset is known by the cutoff."""
+    next_cutoff = cutoff + dt.timedelta(days=7)
+    visible = SeasonLog(
+        players=dict(log.players),
+        sessions={pid: [s for s in seq if s.date <= next_cutoff]
+                  for pid, seq in log.sessions.items()},
+        injuries=[i for i in log.injuries if i.onset_date <= next_cutoff])
+    table, _ = build_training_table(assign_labels(visible), log.players)
+    dates = np.array([d.toordinal() for d in table.dates])
+    train = table.take(np.flatnonzero(dates <= cutoff.toordinal()))
+    train.y = train.y * np.array(
+        [final_onsets.get((p, d)) is not None and final_onsets[(p, d)] <= cutoff
+         for p, d in zip(train.player_ids, train.dates)], dtype=int)
+    forecast = table.take(np.flatnonzero((dates > cutoff.toordinal())
+                                         & (dates <= next_cutoff.toordinal())))
+    return train, forecast
+
+
+def test_masked_season_table_equals_truncated_rebuild(small_season):
+    log, _ = small_season
+    labeling = assign_labels(log)
+    table, _ = build_training_table(labeling, log.players)
+    onsets = {(ls.session.player_id, ls.session.date): ls.injury_onset
+              for ls in labeling.labeled}
+    start = season_start(log)
+    last = max(s.date for seq in log.sessions.values() for s in seq)
+    weeks = range(6, week_of(last, start))
+    assert len(weeks) >= 5
+    for week in weeks:
+        cutoff = start + dt.timedelta(days=7 * week - 1)
+        train, forecast = _week_tables(table, onsets, cutoff)
+        ref_train, ref_forecast = truncated_week_tables(log, onsets, cutoff)
+        for got, ref in ((train, ref_train), (forecast, ref_forecast)):
+            assert got.player_ids == ref.player_ids
+            assert got.dates == ref.dates
+            assert got.X.tobytes() == ref.X.tobytes()
+        assert np.array_equal(train.y, ref_train.y)
 
 
 class TestFeatureTrace:
