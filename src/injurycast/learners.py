@@ -112,13 +112,20 @@ def fit_logit(table, l2: float = 1e-3, max_iter: int = 5000, tol: float = 1e-6,
     return LinearModel(w, b, list(table.feature_names), max_iter, gnorm)
 
 
-def _cv_injury_f1(table, hp, folds, seed):
-    """Mean injury-class F1 over a seeded stratified k-fold."""
+def _cv_folds(table, folds, seed):
+    """Seeded stratified k-fold of `table` as (train, test) table pairs. A search
+    builds them once, so each training table is sorted once for all its fits."""
+    return [(table.take(train_idx), table.take(test_idx))
+            for train_idx, test_idx in stratified_kfold(table.y, folds, seed)]
+
+
+def _cv_injury_f1(cv, hp, seed):
+    """Mean injury-class F1 of trees fitted and scored on the (train, test) pairs."""
     scores = []
-    for train_idx, test_idx in stratified_kfold(table.y, folds, seed):
-        model = fit_tree(table.take(train_idx), hp=hp, seed=seed)
-        pred, _ = model.predict(table.X[test_idx])
-        cm = ConfusionMatrix.from_predictions(table.y[test_idx], pred)
+    for train, test in cv:
+        model = fit_tree(train, hp=hp, seed=seed)
+        pred, _ = model.predict(test.X)
+        cm = ConfusionMatrix.from_predictions(test.y, pred)
         scores.append(metrics(cm)["injury"]["f1"])
     return float(np.mean(scores))
 
@@ -131,9 +138,10 @@ def tune(table, grid=None, folds: int = 2, seed: int = 0) -> TreeHyperParams:
     grid = list(grid) if grid is not None else default_grid()
     if not grid:
         raise ValueError("hyperparameter grid is empty")
+    cv = _cv_folds(table, folds, seed)
     best_hp, best_key = None, None
     for hp in grid:
-        score = _cv_injury_f1(table, hp, folds, seed)
+        score = _cv_injury_f1(cv, hp, seed)
         depth = hp.max_depth if hp.max_depth is not None else np.inf
         key = (-score, depth, -hp.min_samples_leaf)
         if best_key is None or key < best_key:
@@ -159,14 +167,13 @@ def rfecv(table, hp: TreeHyperParams = TreeHyperParams(max_depth=5),
     the lowest-importance feature is dropped; the best-scoring subset wins,
     with ties resolved toward the smallest subset.
     """
+    cv = _cv_folds(table, folds, seed)
     current = list(table.feature_names)
-    if len(current) < 2:
-        return FeatureSubset(current, {len(current): _cv_injury_f1(table, hp, folds, seed)})
+    sub = table
     trace = {}
     subsets = {}
-    while current:
-        sub = table.select_features(current)
-        trace[len(current)] = _cv_injury_f1(sub, hp, folds, seed)
+    while True:
+        trace[len(current)] = _cv_injury_f1(cv, hp, seed)
         subsets[len(current)] = list(current)
         if len(current) == 1:
             break
@@ -176,5 +183,9 @@ def rfecv(table, hp: TreeHyperParams = TreeHyperParams(max_depth=5),
         # ties resolved by column order
         drop = min(current, key=lambda n: (imp.get(n, 0.0), current.index(n)))
         current.remove(drop)
+        # narrowing keeps each table's sorted order: nothing is sorted again
+        sub = sub.select_features(current)
+        cv = [(train.select_features(current), test.select_features(current))
+              for train, test in cv]
     best_size = min(trace, key=lambda s: (-trace[s], s))
     return FeatureSubset(subsets[best_size], trace)

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ClassTooSmall, OneClassOnly
+from .errors import ClassTooSmall, EmptyTable, OneClassOnly
 
 
 @dataclass(frozen=True)
@@ -107,6 +107,8 @@ def stratified_split(y, fraction: float, seed: int):
     if not (0 < fraction < 1):
         raise ValueError("fraction must be in (0, 1)")
     y = np.asarray(y, dtype=int)
+    if len(y) == 0:
+        raise EmptyTable("cannot split an empty table")
     rng = np.random.default_rng(seed)
     part_a, part_b = [], []
     for cls in (0, 1):
@@ -132,8 +134,7 @@ def stratified_kfold(y, folds: int, seed: int):
     assignments = np.empty(len(y), dtype=int)
     for cls in np.unique(y):
         idx = rng.permutation(np.flatnonzero(y == cls))
-        for pos, i in enumerate(idx):
-            assignments[i] = pos % folds
+        assignments[idx] = np.arange(len(idx)) % folds
     splits = []
     for f in range(folds):
         test = np.flatnonzero(assignments == f)

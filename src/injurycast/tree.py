@@ -1,4 +1,5 @@
-"""Binary CART decision tree with Gini splits, grown greedily with a sorted-sweep search."""
+"""Binary CART decision tree with Gini splits, grown greedily from presorted columns
+(SLIQ-style attribute lists) with a vectorised all-feature split search."""
 from __future__ import annotations
 
 import json
@@ -35,33 +36,6 @@ def gini(class_counts) -> float:
         raise EmptyNode("gini of an empty node is undefined")
     p0, p1 = c0 / total, c1 / total
     return 1.0 - (p0 * p0 + p1 * p1)
-
-
-def _best_split_for_feature(values, ones, min_leaf):
-    """Best (threshold, weighted child impurity) for one feature via a sorted sweep.
-
-    Returns (None, None) when no valid split exists.
-    """
-    n = len(values)
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
-    sy = ones[order]
-    cum_pos = np.cumsum(sy)
-
-    sizes_l = np.arange(1, n)  # left child takes the first i elements
-    valid = (sv[:-1] < sv[1:]) & (sizes_l >= min_leaf) & (n - sizes_l >= min_leaf)
-    if not np.any(valid):
-        return None, None
-    pos_l = cum_pos[:-1]
-    pos_r = cum_pos[-1] - pos_l
-    sizes_r = n - sizes_l
-    gini_l = 1.0 - ((pos_l / sizes_l) ** 2 + ((sizes_l - pos_l) / sizes_l) ** 2)
-    gini_r = 1.0 - ((pos_r / sizes_r) ** 2 + ((sizes_r - pos_r) / sizes_r) ** 2)
-    weighted = (sizes_l * gini_l + sizes_r * gini_r) / n
-    weighted = np.where(valid, weighted, np.inf)
-    best = int(np.argmin(weighted))
-    threshold = 0.5 * (sv[best] + sv[best + 1])
-    return float(threshold), float(weighted[best])
 
 
 class DecisionTreeModel:
@@ -174,6 +148,43 @@ class DecisionTreeModel:
         return cls.from_dict(json.loads(text))
 
 
+def presort(X) -> np.ndarray:
+    """(p, n) matrix whose row f lists the row indices of X in ascending order of
+    column f, ties in row order."""
+    return np.argsort(X.T, axis=1, kind="stable")
+
+
+def _best_split(sv, sy, min_leaf):
+    """Best split of one node over its candidate features, in one vectorised pass.
+
+    Row j of sv holds the node's values of candidate j in ascending order and
+    row j of sy their labels. Returns (j, threshold, weighted child impurity)
+    for the lowest weighted child Gini, ties going to the first candidate and
+    within it to the first position, or None when no candidate has a valid split.
+    """
+    n = sv.shape[1]
+    lo, hi = min_leaf - 1, n - min_leaf  # left child of i + 1 rows, i in [lo, hi)
+    if hi <= lo:
+        return None
+    cum_pos = np.cumsum(sy, axis=1, dtype=float)  # exact: counts stay far below 2**53
+
+    sizes_l = np.arange(lo + 1, hi + 1, dtype=float)
+    valid = sv[:, lo:hi] < sv[:, lo + 1:hi + 1]
+    pos_l = cum_pos[:, lo:hi]
+    pos_r = cum_pos[:, -1:] - pos_l
+    sizes_r = n - sizes_l
+    gini_l = 1.0 - ((pos_l / sizes_l) ** 2 + ((sizes_l - pos_l) / sizes_l) ** 2)
+    gini_r = 1.0 - ((pos_r / sizes_r) ** 2 + ((sizes_r - pos_r) / sizes_r) ** 2)
+    weighted = (sizes_l * gini_l + sizes_r * gini_r) / n
+    weighted = np.where(valid, weighted, np.inf)
+    # row-major argmin: the first candidate holding the minimum, at its first position
+    j, i = divmod(int(np.argmin(weighted)), hi - lo)
+    if weighted[j, i] == np.inf:
+        return None
+    threshold = 0.5 * (sv[j, lo + i] + sv[j, lo + i + 1])
+    return j, float(threshold), float(weighted[j, i])
+
+
 def fit_tree(table_or_X, y=None, feature_names=None,
              hp: TreeHyperParams = TreeHyperParams(), seed: int = 0,
              max_features: int | None = None) -> DecisionTreeModel:
@@ -183,6 +194,12 @@ def fit_tree(table_or_X, y=None, feature_names=None,
     only breaks exact-gain ties, via a seeded permutation of the feature
     evaluation order; max_features enables per-node feature subsampling for
     random forests.
+
+    Each column is sorted once per fit, or once per table when given a
+    TrainingTable (TrainingTable.sorted_rows). A node searches all candidate
+    features in one vectorised pass and hands its children a stable filter of
+    its sorted rows. Nodes grow from an explicit stack in preorder, so depth
+    is not bounded by the recursion limit.
     """
     if y is None:
         table = table_or_X
@@ -190,6 +207,7 @@ def fit_tree(table_or_X, y=None, feature_names=None,
         y = table.y
         feature_names = table.feature_names
     else:
+        table = None
         X = np.asarray(table_or_X, dtype=float)
         y = np.asarray(y, dtype=int)
         if feature_names is None:
@@ -206,42 +224,50 @@ def fit_tree(table_or_X, y=None, feature_names=None,
     model = DecisionTreeModel(feature_names, hp)
     raw_importance = np.zeros(p)
     n_total = len(y)
-
-    def grow(idx, depth):
-        ones = y[idx]
-        n = len(idx)
+    goes_left = np.zeros(n_total, dtype=bool)  # reused: a split reads only its own rows
+    cols = np.ascontiguousarray(X.T)
+    offsets = np.arange(p)[:, None] * n_total  # rows[f] + offsets[f] index cols.ravel()
+    root = table.sorted_rows() if table is not None else presort(X)
+    stack = [(root, 0, -1, model.left)]  # (sorted rows, depth, parent, parent's link)
+    while stack:
+        rows, depth, parent, link = stack.pop()
+        ones = y.take(rows[0])
+        n = len(ones)
         counts = (n - ones.sum(), ones.sum())
         node_id = model._add_node(counts)
+        if parent >= 0:
+            link[parent] = node_id
         impurity = gini(counts)
         if (impurity == 0.0
                 or n < hp.min_samples_split
                 or (hp.max_depth is not None and depth >= hp.max_depth)):
-            return node_id
+            continue
 
         cand = feature_order
         if max_features is not None and max_features < p:
             cand = rng.choice(p, size=max_features, replace=False)
-
-        best_feat, best_thr, best_child_imp = -1, 0.0, np.inf
-        for f in cand:
-            thr, child_imp = _best_split_for_feature(X[idx, f], ones,
-                                                     hp.min_samples_leaf)
-            if thr is not None and child_imp < best_child_imp:
-                best_feat, best_thr, best_child_imp = int(f), thr, child_imp
+        cand_rows = rows[cand]
+        sv = cols.take(cand_rows + offsets[cand])
+        split = _best_split(sv, y.take(cand_rows), hp.min_samples_leaf)
+        if split is None:
+            continue
+        j, best_thr, best_child_imp = split
+        best_feat = int(cand[j])
         decrease = impurity - best_child_imp
-        if best_feat < 0 or decrease <= 1e-12:
-            return node_id
+        if decrease <= 1e-12:
+            continue
 
-        left_idx = idx[X[idx, best_feat] <= best_thr]
-        right_idx = idx[X[idx, best_feat] > best_thr]
+        goes_left[cand_rows[j]] = sv[j] <= best_thr
+        left = goes_left.take(rows).ravel()
         model.feature[node_id] = best_feat
         model.threshold[node_id] = best_thr
         raw_importance[best_feat] += (n / n_total) * decrease
-        model.left[node_id] = grow(left_idx, depth + 1)
-        model.right[node_id] = grow(right_idx, depth + 1)
-        return node_id
+        # right is pushed first so the left subtree is grown first: preorder ids
+        stack.append((np.compress(~left, rows).reshape(p, -1), depth + 1, node_id,
+                      model.right))
+        stack.append((np.compress(left, rows).reshape(p, -1), depth + 1, node_id,
+                      model.left))
 
-    grow(np.arange(n_total), 0)
     model._finalize()
     model._raw_importance = raw_importance
     return model

@@ -145,6 +145,16 @@ class TestBadTable:
             assert f"bad.csv:2 column '{column}'" in err
 
     @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_header_only_table_is_one_line_error(self, tmp_path, capsys, command):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("a,b,label\n")
+        assert run(command, "--table", str(empty), "--seed", "0",
+                   "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "empty" in err
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
     def test_synthetic_rows_are_rejected(self, tmp_path, capsys, table_path, command):
         table = TrainingTable.from_csv(table_path)
         table.synthetic[:] = True

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from injurycast.errors import ClassTooSmall, OneClassOnly
+from injurycast.errors import ClassTooSmall, EmptyTable, OneClassOnly
 from injurycast.metrics import (
     ConfusionMatrix,
     EvalReport,
@@ -130,6 +130,10 @@ class TestStratifiedSplit:
         with pytest.raises(ClassTooSmall):
             stratified_split(np.array([0, 1]), 0.99, seed=0)  # takes everything
 
+    def test_empty_labels(self):
+        with pytest.raises(EmptyTable):
+            stratified_split(np.array([], dtype=int), 0.3, seed=0)
+
 
 class TestStratifiedKfold:
     def test_folds_partition_indices(self):
@@ -145,6 +149,29 @@ class TestStratifiedKfold:
         y = np.array([0] * 60 + [1] * 9)
         for _, ev in stratified_kfold(y, 3, seed=1):
             assert y[ev].sum() == 3
+
+    def test_matches_per_element_loop(self):
+        def loop_kfold(y, folds, seed):
+            rng = np.random.default_rng(seed)
+            assignments = np.empty(len(y), dtype=int)
+            for cls in np.unique(y):
+                idx = rng.permutation(np.flatnonzero(y == cls))
+                for pos, i in enumerate(idx):
+                    assignments[i] = pos % folds
+            return [(np.flatnonzero(assignments != f), np.flatnonzero(assignments == f))
+                    for f in range(folds)]
+
+        rng = np.random.default_rng(9)
+        for n in (1, 2, 7, 57, 300):
+            for folds in (2, 3, 5):
+                for seed in (0, 1, 13):
+                    y = (rng.uniform(size=n) < 0.2).astype(int)
+                    got = stratified_kfold(y, folds, seed)
+                    want = loop_kfold(y, folds, seed)
+                    assert len(got) == len(want)
+                    for (tr, ev), (tr_w, ev_w) in zip(got, want):
+                        np.testing.assert_array_equal(tr, tr_w)
+                        np.testing.assert_array_equal(ev, ev_w)
 
 
 class TestEvalReport:

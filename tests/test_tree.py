@@ -5,9 +5,91 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from injurycast.errors import EmptyNode, EmptyTable, MissingFeature
+from injurycast.learners import default_grid
+from injurycast.resampling import ResamplingConfig, adasyn
 from injurycast.tree import DecisionTreeModel, TreeHyperParams, fit_tree, gini
 
 from conftest import planted_table, rand_table
+
+
+def _reference_split(values, ones, min_leaf):
+    """Best (threshold, weighted child impurity) for one feature via a sorted sweep.
+
+    Returns (None, None) when no valid split exists.
+    """
+    n = len(values)
+    order = np.argsort(values, kind="stable")
+    sv = values[order]
+    sy = ones[order]
+    cum_pos = np.cumsum(sy)
+
+    sizes_l = np.arange(1, n)  # left child takes the first i elements
+    valid = (sv[:-1] < sv[1:]) & (sizes_l >= min_leaf) & (n - sizes_l >= min_leaf)
+    if not np.any(valid):
+        return None, None
+    pos_l = cum_pos[:-1]
+    pos_r = cum_pos[-1] - pos_l
+    sizes_r = n - sizes_l
+    gini_l = 1.0 - ((pos_l / sizes_l) ** 2 + ((sizes_l - pos_l) / sizes_l) ** 2)
+    gini_r = 1.0 - ((pos_r / sizes_r) ** 2 + ((sizes_r - pos_r) / sizes_r) ** 2)
+    weighted = (sizes_l * gini_l + sizes_r * gini_r) / n
+    weighted = np.where(valid, weighted, np.inf)
+    best = int(np.argmin(weighted))
+    threshold = 0.5 * (sv[best] + sv[best + 1])
+    return float(threshold), float(weighted[best])
+
+
+def reference_fit_tree(X, y, feature_names, hp=TreeHyperParams(), seed=0,
+                       max_features=None):
+    """The recursive fitter that sorts every feature at every node; fit_tree must
+    reproduce its models byte for byte."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=int)
+    rng = np.random.default_rng(seed)
+    p = X.shape[1]
+    feature_order = rng.permutation(p)
+
+    model = DecisionTreeModel(feature_names, hp)
+    raw_importance = np.zeros(p)
+    n_total = len(y)
+
+    def grow(idx, depth):
+        ones = y[idx]
+        n = len(idx)
+        counts = (n - ones.sum(), ones.sum())
+        node_id = model._add_node(counts)
+        impurity = gini(counts)
+        if (impurity == 0.0
+                or n < hp.min_samples_split
+                or (hp.max_depth is not None and depth >= hp.max_depth)):
+            return node_id
+
+        cand = feature_order
+        if max_features is not None and max_features < p:
+            cand = rng.choice(p, size=max_features, replace=False)
+
+        best_feat, best_thr, best_child_imp = -1, 0.0, np.inf
+        for f in cand:
+            thr, child_imp = _reference_split(X[idx, f], ones, hp.min_samples_leaf)
+            if thr is not None and child_imp < best_child_imp:
+                best_feat, best_thr, best_child_imp = int(f), thr, child_imp
+        decrease = impurity - best_child_imp
+        if best_feat < 0 or decrease <= 1e-12:
+            return node_id
+
+        left_idx = idx[X[idx, best_feat] <= best_thr]
+        right_idx = idx[X[idx, best_feat] > best_thr]
+        model.feature[node_id] = best_feat
+        model.threshold[node_id] = best_thr
+        raw_importance[best_feat] += (n / n_total) * decrease
+        model.left[node_id] = grow(left_idx, depth + 1)
+        model.right[node_id] = grow(right_idx, depth + 1)
+        return node_id
+
+    grow(np.arange(n_total), 0)
+    model._finalize()
+    model._raw_importance = raw_importance
+    return model
 
 
 def exhaustive_best_split(X, y, min_leaf=1):
@@ -205,3 +287,55 @@ class TestFitTree:
         pred, score = model.predict(X)
         # prediction is exactly the thresholded leaf score
         np.testing.assert_array_equal(pred, (score > 0.5).astype(int))
+
+
+@pytest.fixture(scope="module")
+def balanced_season(small_table):
+    return adasyn(small_table, ResamplingConfig(seed=7))
+
+
+class TestMatchesReferenceFitter:
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("max_features", [None, 7])
+    def test_balanced_season_every_grid_point(self, balanced_season, seed, max_features):
+        t = balanced_season
+        for hp in default_grid() + [TreeHyperParams()]:
+            got = fit_tree(t, hp=hp, seed=seed, max_features=max_features)
+            want = reference_fit_tree(t.X, t.y, t.feature_names, hp=hp, seed=seed,
+                                      max_features=max_features)
+            assert got.to_json() == want.to_json(), hp
+
+    def test_duplicate_values_and_tied_gains(self):
+        rng = np.random.default_rng(11)
+        for trial in range(60):
+            n = int(rng.integers(2, 40))
+            p = int(rng.integers(1, 6))
+            # few distinct values: long runs of equal values and many equal gains
+            X = rng.integers(0, 4, size=(n, p)).astype(float)
+            X[:, rng.integers(p)] = X[:, 0]
+            y = rng.integers(0, 2, size=n)
+            hp = TreeHyperParams(max_depth=[None, 1, 3][trial % 3],
+                                 min_samples_leaf=int(rng.integers(1, 4)),
+                                 min_samples_split=int(rng.integers(1, 6)))
+            max_features = [None, 1, 2][trial % 3]
+            names = [f"f{i}" for i in range(p)]
+            got = fit_tree(X, y, names, hp=hp, seed=trial, max_features=max_features)
+            want = reference_fit_tree(X, y, names, hp=hp, seed=trial,
+                                      max_features=max_features)
+            assert got.to_json() == want.to_json(), trial
+
+    def test_table_and_array_inputs_agree(self, balanced_season):
+        t = balanced_season
+        hp = TreeHyperParams(max_depth=4)
+        assert (fit_tree(t, hp=hp, seed=3).to_json()
+                == fit_tree(t.X, t.y, t.feature_names, hp=hp, seed=3).to_json())
+
+    def test_deep_chain_needs_no_recursion(self):
+        # alternating labels on one feature: every split peels off one row, so
+        # the tree is 3,000 levels deep (the recursive fitter hit RecursionError)
+        X = np.arange(3000, dtype=float)[:, None]
+        y = np.arange(3000) % 2
+        model = fit_tree(X, y)
+        assert model.n_nodes == 5999
+        pred, _ = model.predict(X)
+        np.testing.assert_array_equal(pred, y)
