@@ -14,7 +14,6 @@ from .data_model import (
 )
 from .features import (
     FEATURE_NAMES,
-    FeatureSpec,
     TrainingTable,
     acwr,
     build_training_table,

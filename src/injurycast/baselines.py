@@ -1,15 +1,14 @@
 """Reference forecasters: degenerate baselines and mono-dimensional ACWR/MSWR predictors."""
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .data_model import WORKLOAD_FEATURES
-from .errors import MissingColumn, MissingWindow
-from .features import TrainingTable, ewma
+from .errors import MissingColumn
+from .features import TrainingTable
 
 
 class AcwrGroupLabel(Enum):
@@ -89,27 +88,6 @@ def baseline_predict(kind: str, table: TrainingTable, seed: int = 0) -> np.ndarr
             raise MissingColumn("B4 requires the pi_ewma column")
         return (table.column("pi_ewma") > 0).astype(int)
     raise ValueError(f"unknown baseline kind '{kind}'")
-
-
-def acwr_method_value(dates, values, as_of: dt.date,
-                      acute_days: int = 7, chronic_days: int = 28,
-                      cap: float = 5.0) -> float:
-    """EWMA-based acute/chronic ratio used by the reference ACWR method.
-
-    Acute and chronic loads are EWMAs (spans = window lengths) of the sessions
-    inside 7- and 28-day calendar windows; same capping rules as the table acwr.
-    """
-    lo_c = as_of - dt.timedelta(days=chronic_days - 1)
-    chron_vals = [v for d, v in zip(dates, values) if lo_c <= d <= as_of]
-    if not chron_vals:
-        raise MissingWindow(f"no sessions in the {chronic_days}-day window ending {as_of}")
-    lo_a = as_of - dt.timedelta(days=acute_days - 1)
-    acute_vals = [v for d, v in zip(dates, values) if lo_a <= d <= as_of]
-    chronic = float(ewma(chron_vals, span=chronic_days)[-1])
-    acute = float(ewma(acute_vals, span=acute_days)[-1]) if acute_vals else 0.0
-    if chronic <= 0.0:
-        return 0.0 if acute <= 0.0 else cap
-    return min(acute / chronic, cap)
 
 
 def _quintile_edges(values: np.ndarray) -> np.ndarray:

@@ -67,7 +67,7 @@ def _cmd_train(args):
     report = run_pipeline(table, cfg)
     # deployable model: the pipeline's selected features, tuned again and
     # refit on the whole oversampled table
-    balanced, names, hp = _select_and_tune(table, cfg, args.seed,
+    balanced, names, hp = _select_and_tune(table, args.seed,
                                            names=report.selected_features)
     model = fit_tree(balanced.select_features(names), hp=hp, seed=args.seed)
     _write(args.out, model.to_json() + "\n")

@@ -25,24 +25,13 @@ FEATURE_NAMES = (
 assert len(FEATURE_NAMES) == 55
 
 
-@dataclass(frozen=True)
-class FeatureSpec:
-    ewma_span: int = 6
-    acwr_acute_days: int = 6
-    acwr_chronic_days: int = 27
-    mswr_window_days: int = 7
-    acwr_cap: float = 5.0
-    mswr_cap: float = 10.0
-
-    def __post_init__(self):
-        if self.ewma_span < 1:
-            raise ValueError("ewma_span must be >= 1")
-        if not (0 < self.acwr_acute_days < self.acwr_chronic_days):
-            raise ValueError("need 0 < acwr_acute_days < acwr_chronic_days")
-        if self.mswr_window_days < 1:
-            raise ValueError("mswr_window_days must be >= 1")
-        if self.acwr_cap <= 0 or self.mswr_cap <= 0:
-            raise ValueError("caps must be positive")
+# the paper's fixed windows: the EWMA span counts sessions, the others calendar days
+EWMA_SPAN = 6
+ACWR_ACUTE_DAYS = 6
+ACWR_CHRONIC_DAYS = 27
+MSWR_WINDOW_DAYS = 7
+ACWR_CAP = 5.0
+MSWR_CAP = 10.0
 
 
 @dataclass
@@ -201,7 +190,7 @@ def ewma(series, span: int) -> np.ndarray:
     return out
 
 
-def pi_ewma(injury_counts, span: int = 6) -> np.ndarray:
+def pi_ewma(injury_counts, span: int = EWMA_SPAN) -> np.ndarray:
     """EWMA of a player's cumulative prior-injury count over his training days.
 
     Stays exactly zero for never-injured players and strictly positive after
@@ -228,37 +217,36 @@ def rolling_mean(dates, values, window_days: int, as_of: dt.date) -> float:
     return float(vals.mean())
 
 
-def acwr(dates, values, as_of: dt.date, spec: FeatureSpec) -> float:
-    """Acute/chronic workload ratio from plain rolling means, capped at spec.acwr_cap."""
-    chronic = rolling_mean(dates, values, spec.acwr_chronic_days, as_of)
+def acwr(dates, values, as_of: dt.date) -> float:
+    """Acute/chronic workload ratio from plain rolling means, capped at ACWR_CAP."""
+    chronic = rolling_mean(dates, values, ACWR_CHRONIC_DAYS, as_of)
     try:
-        acute = rolling_mean(dates, values, spec.acwr_acute_days, as_of)
+        acute = rolling_mean(dates, values, ACWR_ACUTE_DAYS, as_of)
     except MissingWindow:
         acute = 0.0
     if chronic <= 0.0:
-        return 0.0 if acute <= 0.0 else spec.acwr_cap
-    return min(acute / chronic, spec.acwr_cap)
+        return 0.0 if acute <= 0.0 else ACWR_CAP
+    return min(acute / chronic, ACWR_CAP)
 
 
-def mswr(dates, values, as_of: dt.date, spec: FeatureSpec) -> float:
-    """Training monotony: mean / sample std over the last week, capped at spec.mswr_cap.
+def mswr(dates, values, as_of: dt.date) -> float:
+    """Training monotony: mean / sample std over the last week, capped at MSWR_CAP.
 
     Fewer than two sessions in the window, or a near-zero std, means maximal
     monotony and returns the cap.
     """
-    vals = _window_values(dates, values, spec.mswr_window_days, as_of)
+    vals = _window_values(dates, values, MSWR_WINDOW_DAYS, as_of)
     if vals.size == 0:
-        raise MissingWindow(f"no sessions in the {spec.mswr_window_days}-day window ending {as_of}")
+        raise MissingWindow(f"no sessions in the {MSWR_WINDOW_DAYS}-day window ending {as_of}")
     if vals.size < 2:
-        return spec.mswr_cap
+        return MSWR_CAP
     std = float(vals.std(ddof=1))
     if std < 1e-9:
-        return spec.mswr_cap
-    return min(float(vals.mean()) / std, spec.mswr_cap)
+        return MSWR_CAP
+    return min(float(vals.mean()) / std, MSWR_CAP)
 
 
-def build_training_table(labeling: LabelingResult, profiles: dict,
-                         spec: FeatureSpec = FeatureSpec()):
+def build_training_table(labeling: LabelingResult, profiles: dict):
     """Assemble the 55-feature TrainingTable from labeled sessions.
 
     EWMA features run over the player's session sequence (span counts training
@@ -277,10 +265,10 @@ def build_training_table(labeling: LabelingResult, profiles: dict,
         profile = profiles[pid]
         sess_dates = [ls.session.date for ls in seq]
         series = {f: [ls.session.workload[f] for ls in seq] for f in WORKLOAD_FEATURES}
-        ewma_series = {f: ewma(series[f], spec.ewma_span) for f in WORKLOAD_FEATURES}
+        ewma_series = {f: ewma(series[f], EWMA_SPAN) for f in WORKLOAD_FEATURES}
         # prior-injury count before each session, recovered from earlier labels
         pi_counts = np.cumsum([0] + [ls.label for ls in seq[:-1]])
-        pi_ewma_series = pi_ewma(pi_counts, spec.ewma_span)
+        pi_ewma_series = pi_ewma(pi_counts)
 
         for t, ls in enumerate(seq):
             as_of = ls.session.date
@@ -288,8 +276,8 @@ def build_training_table(labeling: LabelingResult, profiles: dict,
             for f in WORKLOAD_FEATURES:
                 feats[f] = ls.session.workload[f]
                 feats[f + "_ewma"] = ewma_series[f][t]
-                feats[f + "_acwr"] = acwr(sess_dates[:t + 1], series[f][:t + 1], as_of, spec)
-                feats[f + "_mswr"] = mswr(sess_dates[:t + 1], series[f][:t + 1], as_of, spec)
+                feats[f + "_acwr"] = acwr(sess_dates[:t + 1], series[f][:t + 1], as_of)
+                feats[f + "_mswr"] = mswr(sess_dates[:t + 1], series[f][:t + 1], as_of)
             feats["age"] = profile.age
             feats["bmi"] = profile.bmi
             feats["role"] = profile.role.code

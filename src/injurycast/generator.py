@@ -15,7 +15,7 @@ from .data_model import (
     TrainingSession,
 )
 from .errors import ConfigInvalid
-from .features import FeatureSpec, ewma, mswr
+from .features import EWMA_SPAN, ewma, mswr
 
 # season-level mean/sd calibration targets for each workload feature
 DEFAULT_FEATURE_STATS = {
@@ -197,7 +197,6 @@ def generate(cfg: GeneratorConfig):
     injury's labeled session provably satisfies its causal rule.
     """
     rng = np.random.default_rng(cfg.seed)
-    spec = FeatureSpec()
     plan = _draw_plan(cfg.feature_stats, cfg.player_spread)
     profiles = _profiles(rng, cfg.n_players)
     ledger = GroundTruthLedger()
@@ -245,9 +244,9 @@ def generate(cfg: GeneratorConfig):
                 pi_series.append(pi_count)
 
                 feats = {
-                    "d_hsr_ewma": float(ewma(hist_hsr, spec.ewma_span)[-1]),
-                    "d_tot_mswr": mswr(hist_dates, hist_tot, date, spec),
-                    "pi_ewma": float(ewma(pi_series, spec.ewma_span)[-1]),
+                    "d_hsr_ewma": float(ewma(hist_hsr, EWMA_SPAN)[-1]),
+                    "d_tot_mswr": mswr(hist_dates, hist_tot, date),
+                    "pi_ewma": float(ewma(pi_series, EWMA_SPAN)[-1]),
                 }
                 cause = None
                 for rule in cfg.planted_rules:

@@ -31,19 +31,14 @@ class ForestModel:
 
 
 def fit_forest(table, n_trees: int, hp: TreeHyperParams = TreeHyperParams(),
-               seed: int = 0, bootstrap: bool = True) -> ForestModel:
+               seed: int = 0) -> ForestModel:
     if len(table) == 0:
         raise EmptyTable("cannot fit a forest on an empty table")
     rng = np.random.default_rng(seed)
-    p = len(table.feature_names)
-    max_features = max(1, int(round(np.sqrt(p)))) if bootstrap else None
+    max_features = max(1, int(round(np.sqrt(len(table.feature_names)))))
     trees = []
-    for t in range(n_trees):
-        if bootstrap:
-            idx = rng.integers(0, len(table), size=len(table))
-            sub = table.take(idx)
-        else:
-            sub = table
+    for _ in range(n_trees):
+        sub = table.take(rng.integers(0, len(table), size=len(table)))
         trees.append(fit_tree(sub, hp=hp, seed=int(rng.integers(2 ** 31)),
                               max_features=max_features))
     return ForestModel(trees, table.feature_names)

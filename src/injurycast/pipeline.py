@@ -7,7 +7,7 @@ import numpy as np
 
 from .baselines import Combine, MonoMethod, baseline_predict, mono_forecast
 from .errors import NonConvergence, OneClassOnly, SyntheticEvaluation
-from .learners import default_grid, fit_forest, fit_logit, rfecv, tune
+from .learners import fit_forest, fit_logit, rfecv, tune
 from .metrics import (
     ConfusionMatrix,
     EvalReport,
@@ -20,37 +20,30 @@ from .resampling import ResamplingConfig, adasyn, standardize
 from .tree import fit_tree
 
 
+# the paper's protocol: a stratified 30 % tunes and selects, the other 70 % is
+# evaluated by stratified k-fold CV
+TRAIN_FRACTION = 0.3
+EVAL_FOLDS = 2
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    feature_selection: bool = True
-    oversample: bool = True
     seed: int = 0
-    grid: tuple = None  # None -> default_grid()
-    folds: int = 2  # CV folds on the test portion
-    tune_folds: int = 2
-    rfecv_folds: int = 3
-    train_fraction: float = 0.3
-    k_neighbors: int = 5
-
-    def grid_list(self):
-        return list(self.grid) if self.grid is not None else default_grid()
 
 
-def _oversampled(table, cfg: PipelineConfig, seed: int):
-    if not cfg.oversample or table.y.sum() < 2:
+def _oversampled(table, seed: int):
+    if table.y.sum() < 2:
         return table
-    return adasyn(table, ResamplingConfig(k_neighbors=cfg.k_neighbors, seed=seed))
+    return adasyn(table, ResamplingConfig(seed=seed))
 
 
-def _select_and_tune(table, cfg: PipelineConfig, seed: int, names=None):
+def _select_and_tune(table, seed: int, names=None):
     """Oversample the table, select features by RFECV unless `names` is given, and
     tune the tree on the selection. Returns (oversampled table, names, hyperparams)."""
-    balanced = _oversampled(table, cfg, seed)
+    balanced = _oversampled(table, seed)
     if names is None:
-        names = (rfecv(balanced, folds=cfg.rfecv_folds, seed=seed).names
-                 if cfg.feature_selection else list(table.feature_names))
-    hp = tune(balanced.select_features(names), cfg.grid_list(),
-              folds=cfg.tune_folds, seed=seed)
+        names = rfecv(balanced, seed=seed).names
+    hp = tune(balanced.select_features(names), seed=seed)
     return balanced, names, hp
 
 
@@ -58,20 +51,20 @@ def _evaluate(table, cfg: PipelineConfig, forecast):
     """Steps 1-3 of run_pipeline for every forecaster that `forecast` yields on a
     fold as (name, predictions, scores). Returns the split sizes, names,
     hyperparameters and, per forecaster, (confusion, scores, labels) over all folds."""
-    a_idx, b_idx = stratified_split(table.y, cfg.train_fraction, cfg.seed)
+    a_idx, b_idx = stratified_split(table.y, TRAIN_FRACTION, cfg.seed)
     t_train = table.take(a_idx)
     t_test = table.take(b_idx)
-    _, names, hp = _select_and_tune(t_train, cfg, cfg.seed)
+    _, names, hp = _select_and_tune(t_train, cfg.seed)
 
     runs = {}
     for f, (fit_idx, eval_idx) in enumerate(
-            stratified_kfold(t_test.y, cfg.folds, cfg.seed + 1)):
+            stratified_kfold(t_test.y, EVAL_FOLDS, cfg.seed + 1)):
         raw_train = t_test.take(fit_idx)
         fold_eval = t_test.take(eval_idx)
         if fold_eval.synthetic.any():
             raise SyntheticEvaluation(f"evaluation fold {f} holds synthetic rows; "
                                       "a table to evaluate must be observed sessions only")
-        fold_train = _oversampled(raw_train, cfg, cfg.seed + 100 + f)
+        fold_train = _oversampled(raw_train, cfg.seed + 100 + f)
         for name, pred, score in forecast(cfg, f, raw_train, fold_train, fold_eval,
                                           names, hp):
             runs.setdefault(name, []).append((pred, score, fold_eval.y))

@@ -10,17 +10,13 @@ from .errors import TooFewMinority
 from .features import TrainingTable
 
 
+# neighbours per point, both for a point's difficulty and for its partners
+K_NEIGHBORS = 5
+
+
 @dataclass(frozen=True)
 class ResamplingConfig:
-    k_neighbors: int = 5
-    balance_ratio: float = 1.0  # fraction of the class gap to fill
     seed: int = 0
-
-    def __post_init__(self):
-        if self.k_neighbors < 1:
-            raise ValueError("k_neighbors must be >= 1")
-        if not (0 < self.balance_ratio <= 1):
-            raise ValueError("balance_ratio must be in (0, 1]")
 
 
 def standardize(X: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -32,9 +28,10 @@ def standardize(X: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return (X - mu) / sd
 
 
-def _nearest(dist_row: np.ndarray, self_idx: int, k: int) -> np.ndarray:
-    order = np.argsort(dist_row, kind="stable")
-    return np.array([j for j in order if j != self_idx][:k])
+def _nearest(Z: np.ndarray, i: int, k: int) -> np.ndarray:
+    """The k rows of Z nearest to row i, ties in row order, row i excluded."""
+    order = np.argsort(np.linalg.norm(Z - Z[i], axis=1), kind="stable")
+    return order[order != i][:k]
 
 
 def adasyn(table: TrainingTable, cfg: ResamplingConfig) -> TrainingTable:
@@ -54,7 +51,7 @@ def adasyn(table: TrainingTable, cfg: ResamplingConfig) -> TrainingTable:
     if len(majority) < 1:
         raise TooFewMinority("ADASYN needs at least 1 majority example")
 
-    n_new = int(round(cfg.balance_ratio * (len(majority) - len(minority))))
+    n_new = len(majority) - len(minority)
     if n_new <= 0:
         return table
 
@@ -63,11 +60,10 @@ def adasyn(table: TrainingTable, cfg: ResamplingConfig) -> TrainingTable:
     Zmin = Z[minority]
 
     # majority fraction among the k nearest neighbors in the full table
-    k_full = min(cfg.k_neighbors, len(table) - 1)
-    dists_full = np.linalg.norm(Zmin[:, None, :] - Z[None, :, :], axis=2)
+    k_full = min(K_NEIGHBORS, len(table) - 1)
     r = np.empty(len(minority))
     for i, row_idx in enumerate(minority):
-        nbrs = _nearest(dists_full[i], row_idx, k_full)
+        nbrs = _nearest(Z, row_idx, k_full)
         r[i] = np.mean(y[nbrs] == 0)
     if r.sum() == 0:
         # pure-minority neighborhoods everywhere: fall back to uniform allocation
@@ -84,9 +80,8 @@ def adasyn(table: TrainingTable, cfg: ResamplingConfig) -> TrainingTable:
         alloc[order[:remainder]] += 1
 
     # interpolation partners come from minority points only
-    k_min = min(cfg.k_neighbors, len(minority) - 1)
-    dists_min = np.linalg.norm(Zmin[:, None, :] - Zmin[None, :, :], axis=2)
-    if np.all(dists_min == 0):
+    k_min = min(K_NEIGHBORS, len(minority) - 1)
+    if not any(np.linalg.norm(Zmin - z, axis=1).any() for z in Zmin):
         warnings.warn("all minority points are identical; ADASYN will duplicate them")
 
     role_col = (table.feature_names.index("role")
@@ -96,7 +91,7 @@ def adasyn(table: TrainingTable, cfg: ResamplingConfig) -> TrainingTable:
     for i, g in enumerate(alloc):
         if g == 0:
             continue
-        nbrs = _nearest(dists_min[i], i, k_min)
+        nbrs = _nearest(Zmin, i, k_min)
         xi = table.X[minority[i]]
         for _ in range(g):
             partner = table.X[minority[nbrs[rng.integers(len(nbrs))]]]

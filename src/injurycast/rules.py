@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import MissingColumn
 from .tree import DecisionTreeModel
 
 
@@ -38,6 +39,8 @@ class InjuryRule:
     def matches_matrix(self, X: np.ndarray, feature_names: list) -> np.ndarray:
         mask = np.ones(len(X), dtype=bool)
         for c in self.conditions:
+            if c.feature not in feature_names:
+                raise MissingColumn(f"table has no column '{c.feature}' that a rule tests")
             col = X[:, feature_names.index(c.feature)]
             mask &= (col > c.lo) & (col <= c.hi)
         return mask
@@ -61,8 +64,11 @@ def extract_rules(model: DecisionTreeModel) -> list:
     """One rule per injury-class leaf; repeated features along the path collapse
     to a single interval (lo, hi]. Empty list when the tree has no injury leaf."""
     rules = []
-
-    def walk(node, bounds):
+    # explicit stack, right child pushed first: leaves come out in preorder and a
+    # tree thousands of levels deep needs no recursion
+    stack = [(0, {})]
+    while stack:
+        node, bounds = stack.pop()
         if model.feature[node] < 0:
             c0, c1 = model.counts[node]
             if c1 > c0:  # leaf predicts injury; count ties predict class 0
@@ -70,14 +76,12 @@ def extract_rules(model: DecisionTreeModel) -> list:
                          for f, (lo, hi) in sorted(bounds.items(),
                                                    key=lambda kv: model.feature_names.index(kv[0]))]
                 rules.append(InjuryRule(conds, leaf_id=int(node)))
-            return
+            continue
         name = model.feature_names[model.feature[node]]
         thr = float(model.threshold[node])
         lo, hi = bounds.get(name, (-math.inf, math.inf))
-        walk(model.left[node], {**bounds, name: (lo, min(hi, thr))})
-        walk(model.right[node], {**bounds, name: (max(lo, thr), hi)})
-
-    walk(0, {})
+        stack.append((model.right[node], {**bounds, name: (max(lo, thr), hi)}))
+        stack.append((model.left[node], {**bounds, name: (lo, min(hi, thr))}))
     return rules
 
 

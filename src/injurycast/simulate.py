@@ -9,7 +9,7 @@ import numpy as np
 
 from .data_model import SeasonLog, assign_labels
 from .errors import InsufficientHistory
-from .features import FeatureSpec, build_training_table
+from .features import build_training_table
 from .metrics import ConfusionMatrix, metrics
 from .pipeline import PipelineConfig, _select_and_tune
 from .tree import fit_tree
@@ -90,8 +90,7 @@ def _week_tables(table, onset_by_row: dict, cutoff: dt.date):
 
 
 def walk_forward(log: SeasonLog, cfg: PipelineConfig = PipelineConfig(),
-                 start_week: int = 6, horizon_days: int = 3,
-                 spec: FeatureSpec = FeatureSpec()) -> list:
+                 start_week: int = 6) -> list:
     """Weekly retraining: at week i, train on everything known by the end of
     week i (injuries not yet observed count as label 0) and predict week i+1.
 
@@ -107,8 +106,8 @@ def walk_forward(log: SeasonLog, cfg: PipelineConfig = PipelineConfig(),
 
     # one table from final-knowledge labels: its labels are the ground truth, and
     # every feature is causal, so a week's rows equal those of a log cut at its end
-    labeling = assign_labels(log, horizon_days)
-    table, _ = build_training_table(labeling, log.players, spec)
+    labeling = assign_labels(log)
+    table, _ = build_training_table(labeling, log.players)
     onset_by_row = {(ls.session.player_id, ls.session.date): ls.injury_onset
                     for ls in labeling.labeled}
 
@@ -124,7 +123,7 @@ def walk_forward(log: SeasonLog, cfg: PipelineConfig = PipelineConfig(),
             names = []
         else:
             seed = cfg.seed + week
-            balanced, names, hp = _select_and_tune(t_i, cfg, seed)
+            balanced, names, hp = _select_and_tune(t_i, seed)
             model = fit_tree(balanced.select_features(names), hp=hp, seed=seed)
             preds, _ = model.predict(t_next.select_features(names).X)
 

@@ -7,16 +7,15 @@ from injurycast.baselines import (
     Grouping,
     MURRAY_BOUNDS,
     MonoMethod,
-    acwr_method_value,
     baseline_predict,
     group_likelihood,
     mono_forecast,
 )
 from injurycast.data_model import WORKLOAD_FEATURES
-from injurycast.errors import MissingColumn, MissingWindow
-from injurycast.features import TrainingTable, ewma
+from injurycast.errors import MissingColumn
+from injurycast.features import TrainingTable
 
-from conftest import day, rand_table
+from conftest import rand_table
 
 
 def acwr_table(acwr_values_by_feature, y, extra=None):
@@ -97,34 +96,6 @@ class TestMurrayGroups:
     def test_missing_column(self):
         with pytest.raises(MissingColumn):
             group_likelihood(rand_table(n=10, p=2, n_pos=2, seed=0), "nope")
-
-
-class TestAcwrMethodValue:
-    def test_matches_direct_ewma_ratio(self):
-        dates = [day(o) for o in (0, 3, 6, 10, 24, 27)]
-        vals = [10.0, 30.0, 25.0, 40.0, 15.0, 35.0]
-        as_of = day(27)
-        chronic = ewma([v for d, v in zip(dates, vals) if day(0) <= d <= as_of],
-                       span=28)[-1]
-        acute = ewma([v for d, v in zip(dates, vals)
-                      if day(21) <= d <= as_of], span=7)[-1]
-        assert acwr_method_value(dates, vals, as_of) == pytest.approx(acute / chronic)
-
-    def test_missing_chronic_window(self):
-        with pytest.raises(MissingWindow):
-            acwr_method_value([day(0)], [5.0], day(60))
-
-    def test_empty_acute_is_zero(self):
-        dates = [day(0), day(1)]
-        assert acwr_method_value(dates, [5.0, 5.0], day(20)) == 0.0
-
-    def test_zero_chronic_conventions(self):
-        dates = [day(0), day(20)]
-        assert acwr_method_value(dates, [0.0, 0.0], day(20)) == 0.0
-
-    def test_cap(self):
-        dates = [day(0), day(20)]
-        assert acwr_method_value(dates, [0.001, 500.0], day(20), cap=5.0) <= 5.0
 
 
 class TestMonoForecast:

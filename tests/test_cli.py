@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from injurycast.cli import cli_main
 from injurycast.features import TrainingTable
+from injurycast.tree import fit_tree
 
 
 def run(*argv):
@@ -115,6 +117,14 @@ class TestFeaturizeTrainRules:
         for rule in rules:
             assert rule["frequency"] is not None
 
+    def test_rules_on_a_deep_chain_model(self, tmp_path, capsys):
+        # 5,999 nodes, 3,000 levels deep
+        X = np.arange(3000, dtype=float)[:, None]
+        path = tmp_path / "chain.json"
+        path.write_text(fit_tree(X, np.arange(3000) % 2).to_json())
+        assert run("rules", "--model", str(path), "--format", "json") == 0
+        assert len(json.loads(capsys.readouterr().out)["rules"]) == 1500
+
     def test_compare_renders(self, season_files, table_path, capsys):
         code = run("compare", "--table", table_path, "--seed", "0",
                    "--format", "csv")
@@ -143,6 +153,16 @@ class TestBadTable:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
             assert f"bad.csv:2 column '{column}'" in err
+
+    def test_table_without_a_model_feature_is_one_line_error(self, tmp_path, capsys,
+                                                             trained):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("a,b,label\n")
+        assert run("rules", "--model", trained[0], "--table", str(bad)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        features = json.loads(open(trained[0]).read())["feature_names"]
+        assert any(f"no column '{name}'" in err for name in features)
 
     @pytest.mark.parametrize("command", ["train", "compare"])
     def test_header_only_table_is_one_line_error(self, tmp_path, capsys, command):

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from injurycast.data_model import assign_labels
 from injurycast.errors import EmptySeries, MissingWindow
 from injurycast.features import (
+    ACWR_CAP,
     FEATURE_NAMES,
-    FeatureSpec,
+    MSWR_CAP,
     TrainingTable,
     acwr,
     build_training_table,
@@ -21,8 +22,6 @@ from injurycast.features import (
 from injurycast.tree import TreeHyperParams, fit_tree
 
 from conftest import day, make_log, planted_table, rand_table
-
-SPEC = FeatureSpec()
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
@@ -120,42 +119,43 @@ class TestWindows:
         # as of day 9: acute window days 4..9 -> {30, 40}; chronic days -17..9 -> all
         acute = (30 + 40) / 2
         chronic = (10 + 20 + 30 + 40) / 4
-        assert acwr(self.DATES, self.VALUES, day(9), SPEC) == pytest.approx(acute / chronic)
+        assert acwr(self.DATES, self.VALUES, day(9)) == pytest.approx(acute / chronic)
 
     def test_acwr_empty_acute_is_zero_ratio(self):
         dates = [day(0), day(1)]
         # as of day 9 the 6-day acute window (days 4..9) is empty
-        assert acwr(dates, [5.0, 5.0], day(9), SPEC) == 0.0
+        assert acwr(dates, [5.0, 5.0], day(9)) == 0.0
 
     def test_acwr_zero_chronic_conventions(self):
         dates = [day(0), day(9)]
-        assert acwr(dates, [0.0, 0.0], day(9), SPEC) == 0.0
-        assert acwr(dates, [0.0, 3.0], day(0), SPEC) == 0.0  # only the zero session
+        assert acwr(dates, [0.0, 0.0], day(9)) == 0.0
+        assert acwr(dates, [0.0, 3.0], day(0)) == 0.0  # only the zero session
         # chronic mean zero but positive acute load cannot happen with
         # non-negative workloads unless all values are zero; cap still guards it
-        assert acwr(dates, [0.0, 1.0], day(9), SPEC) <= SPEC.acwr_cap
+        assert acwr(dates, [0.0, 1.0], day(9)) <= ACWR_CAP
 
     def test_acwr_cap(self):
-        spec = FeatureSpec(acwr_cap=2.0)
-        dates = [day(0), day(1), day(9)]
-        assert acwr(dates, [1.0, 1.0, 1000.0], day(9), spec) == 2.0
+        # ten light sessions, then one heavy session alone in the acute window:
+        # the uncapped ratio is 1000 / (1010 / 11), about 10.9
+        dates = [day(2 * i) for i in range(10)] + [day(26)]
+        assert acwr(dates, [1.0] * 10 + [1000.0], day(26)) == ACWR_CAP == 5.0
 
     def test_mswr_hand_value(self):
         dates = [day(3), day(5), day(7)]
         vals = [10.0, 14.0, 18.0]
         expected = np.mean(vals) / np.std(vals, ddof=1)
-        assert mswr(dates, vals, day(7), SPEC) == pytest.approx(expected)
+        assert mswr(dates, vals, day(7)) == pytest.approx(expected)
 
     def test_mswr_degenerate_cases_hit_cap(self):
-        assert mswr([day(0)], [5.0], day(0), SPEC) == SPEC.mswr_cap
+        assert mswr([day(0)], [5.0], day(0)) == MSWR_CAP
         dates = [day(0), day(1), day(2)]
-        assert mswr(dates, [7.0, 7.0, 7.0], day(2), SPEC) == SPEC.mswr_cap
+        assert mswr(dates, [7.0, 7.0, 7.0], day(2)) == MSWR_CAP
         with pytest.raises(MissingWindow):
-            mswr(dates, [1.0, 2.0, 3.0], day(30), SPEC)
+            mswr(dates, [1.0, 2.0, 3.0], day(30))
 
     def test_mswr_cap_bounds_output(self):
         dates = [day(0), day(1)]
-        assert mswr(dates, [100.0, 100.0001], day(1), SPEC) == SPEC.mswr_cap
+        assert mswr(dates, [100.0, 100.0001], day(1)) == MSWR_CAP
 
 
 class TestBuildTrainingTable:
@@ -177,9 +177,9 @@ class TestBuildTrainingTable:
         np.testing.assert_allclose(table.column("d_tot_ewma"), ewma(tot, 6))
         for t in range(5):
             assert table.column("d_tot_acwr")[t] == pytest.approx(
-                acwr(dates[:t + 1], tot[:t + 1], dates[t], SPEC))
+                acwr(dates[:t + 1], tot[:t + 1], dates[t]))
             assert table.column("d_tot_mswr")[t] == pytest.approx(
-                mswr(dates[:t + 1], tot[:t + 1], dates[t], SPEC))
+                mswr(dates[:t + 1], tot[:t + 1], dates[t]))
         assert np.all(table.column("age") == 25)
         assert np.all(table.column("bmi") == pytest.approx(75.0 / 1.8 ** 2))
 

@@ -6,7 +6,7 @@ import pytest
 
 from injurycast.data_model import assign_labels
 from injurycast.errors import ConfigInvalid
-from injurycast.features import FeatureSpec, build_training_table, ewma, mswr
+from injurycast.features import EWMA_SPAN, build_training_table, ewma, mswr
 from injurycast.generator import (
     DEFAULT_FEATURE_STATS,
     GeneratorConfig,
@@ -86,7 +86,6 @@ class TestGenerate:
     def test_planted_causes_satisfy_their_rule(self, season):
         """Recompute the causal features from the raw log and re-check each rule."""
         log, ledger = season
-        spec = FeatureSpec()
         rules = {r.name: r for r in default_planted_rules()}
         checked = 0
         for cause in ledger.causes:
@@ -101,9 +100,9 @@ class TestGenerate:
             onsets = [i.onset_date for i in log.player_injuries(pid)]
             pi_series = [sum(1 for o in onsets if o <= d) for d in dates]
             feats = {
-                "d_hsr_ewma": float(ewma(hsr, spec.ewma_span)[-1]),
-                "d_tot_mswr": mswr(dates, tot, sess_date, spec),
-                "pi_ewma": float(ewma(pi_series, spec.ewma_span)[-1]),
+                "d_hsr_ewma": float(ewma(hsr, EWMA_SPAN)[-1]),
+                "d_tot_mswr": mswr(dates, tot, sess_date),
+                "pi_ewma": float(ewma(pi_series, EWMA_SPAN)[-1]),
             }
             assert rules[cause["rule"]].fires(feats)
             checked += 1

@@ -10,6 +10,9 @@ import json
 import pytest
 
 from injurycast.cli import cli_main
+from injurycast.generator import GeneratorConfig, generate
+from injurycast.pipeline import PipelineConfig
+from injurycast.simulate import walk_forward
 
 SEASON = {"n_players": 10, "weeks": 10}
 SEEDS = (5, 11)
@@ -33,6 +36,13 @@ GOLDEN = {
         "simulate_report": "5bec2e48eaf4da620f51d279a15040b6e8b9e29e666670603c172caf7553c24d",
         "handbook": "728341b8e5c8aa8392b89a66a6139d39d1e24724efc336de53c42bc304bc64d9",
     },
+}
+
+# digest of json.dumps([o.to_dict() for o in walk_forward(...)], sort_keys=True) on
+# the same season, forecasting from week 7 as the chain's simulate step does
+WALK_FORWARD_GOLDEN = {
+    5: "1dbc80b8b1cad6295a5a437a5f0e4f396a73590f3fd808a1b44cf858426c8847",
+    11: "4c8035fb0faa85c9aa1fedbd70eac70e52fa36eb50c64d2647c8dbb7ae02e7c1",
 }
 
 
@@ -70,3 +80,11 @@ def chain_digests(root, seed: int) -> dict:
 @pytest.mark.parametrize("seed", SEEDS)
 def test_chain_matches_golden(tmp_path, seed):
     assert chain_digests(tmp_path, seed) == GOLDEN[seed]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_walk_forward_outcomes_match_golden(seed):
+    log, _ = generate(GeneratorConfig(seed=seed, **SEASON))
+    outcomes = walk_forward(log, PipelineConfig(seed=seed), start_week=7)
+    text = json.dumps([o.to_dict() for o in outcomes], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == WALK_FORWARD_GOLDEN[seed]

@@ -149,16 +149,6 @@ class TestLogit:
 
 
 class TestForest:
-    def test_single_tree_no_bootstrap_equals_cart(self):
-        t = planted_table(n=150, seed=8)
-        hp = TreeHyperParams(max_depth=3)
-        forest = fit_forest(t, n_trees=1, hp=hp, seed=0, bootstrap=False)
-        tree = fit_tree(t, hp=hp, seed=0)
-        grid = np.random.default_rng(0).uniform(size=(300, t.X.shape[1]))
-        f_scores = forest.predict(grid)[1]
-        t_scores = tree.predict(grid)[1]
-        np.testing.assert_array_equal(f_scores, t_scores)
-
     def test_scores_are_tree_averages(self):
         t = planted_table(n=150, seed=9)
         forest = fit_forest(t, n_trees=7, hp=TreeHyperParams(max_depth=3), seed=1)

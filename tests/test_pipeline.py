@@ -45,18 +45,11 @@ class TestRunPipeline:
         assert set(report.selected_features) <= set(table.feature_names)
         assert report.confusion.total == report.split_sizes["test"]
 
-    def test_no_oversample_no_selection_variant(self):
-        table = planted_table(n=300, seed=1, noise_features=2)
-        cfg = PipelineConfig(seed=0, oversample=False, feature_selection=False)
-        report = run_pipeline(table, cfg)
-        assert report.selected_features == list(table.feature_names)
-        assert 0.0 <= report.per_class["injury"]["f1"] <= 1.0
-
     def test_synthetic_rows_never_reach_evaluation(self):
         table = planted_table(n=200, seed=4, noise_features=1)
         table.synthetic[::2] = True
         with pytest.raises(SyntheticEvaluation):
-            run_pipeline(table, PipelineConfig(seed=0, feature_selection=False))
+            run_pipeline(table, PipelineConfig(seed=0))
 
     def test_seed_changes_outcome_inputs(self):
         table = planted_table(n=300, seed=2, noise_features=2)

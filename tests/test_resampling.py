@@ -1,8 +1,14 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
+from injurycast.data_model import assign_labels
 from injurycast.errors import TooFewMinority
-from injurycast.resampling import ResamplingConfig, adasyn
+from injurycast.features import build_training_table
+from injurycast.generator import GeneratorConfig, generate
+from injurycast.resampling import ResamplingConfig, adasyn, standardize
 
 from conftest import rand_table
 
@@ -16,17 +22,118 @@ def convexity_violations(before, after):
     return int(np.sum((synth < lo - eps) | (synth > hi + eps)))
 
 
+def tensor_adasyn(table, seed):
+    """ADASYN from (minority x rows x features) distance tensors, as first written.
+
+    The reference that the row-at-a-time distances must match byte for byte.
+    Returns the oversampled X and whether every minority distance is zero.
+    """
+    y = table.y
+    minority = np.flatnonzero(y == 1)
+    n_new = int((y == 0).sum()) - len(minority)
+    rng = np.random.default_rng(seed)
+    Z = standardize(table.X, table.X)
+    Zmin = Z[minority]
+
+    def nearest(dist_row, self_idx, k):
+        order = np.argsort(dist_row, kind="stable")
+        return np.array([j for j in order if j != self_idx][:k])
+
+    k_full = min(5, len(table) - 1)
+    dists_full = np.linalg.norm(Zmin[:, None, :] - Z[None, :, :], axis=2)
+    r = np.array([np.mean(y[nearest(dists_full[i], row, k_full)] == 0)
+                  for i, row in enumerate(minority)])
+    r_hat = np.full(len(minority), 1.0 / len(minority)) if r.sum() == 0 else r / r.sum()
+    raw = r_hat * n_new
+    alloc = np.floor(raw).astype(int)
+    remainder = n_new - alloc.sum()
+    if remainder > 0:
+        alloc[np.argsort(-(raw - alloc), kind="stable")[:remainder]] += 1
+
+    k_min = min(5, len(minority) - 1)
+    dists_min = np.linalg.norm(Zmin[:, None, :] - Zmin[None, :, :], axis=2)
+    role_col = (table.feature_names.index("role")
+                if "role" in table.feature_names else None)
+    new_rows = []
+    for i, g in enumerate(alloc):
+        nbrs = nearest(dists_min[i], i, k_min)
+        xi = table.X[minority[i]]
+        for _ in range(g):
+            partner = table.X[minority[nbrs[rng.integers(len(nbrs))]]]
+            row = xi + rng.uniform() * (partner - xi)
+            if role_col is not None:
+                row[role_col] = np.clip(np.rint(row[role_col]), 0, 4)
+            new_rows.append(row)
+    return np.vstack([table.X, np.array(new_rows)]), bool(np.all(dists_min == 0))
+
+
+def tied_table(seed):
+    """Small-integer features: many equal distances and repeated rows."""
+    rng = np.random.default_rng(seed)
+    t = rand_table(n=120, p=4, n_pos=18, seed=seed)
+    t.X[:] = rng.integers(0, 3, size=t.X.shape)
+    return t
+
+
+def duplicated_table(seed):
+    """Rows copied onto other rows, minority onto minority and onto majority."""
+    t = rand_table(n=100, p=5, n_pos=15, seed=seed)
+    pos, neg = np.flatnonzero(t.y == 1), np.flatnonzero(t.y == 0)
+    t.X[pos[1:4]] = t.X[pos[0]]
+    t.X[neg[:5]] = t.X[pos[5]]
+    t.X[neg[10:20]] = t.X[neg[9]]
+    return t
+
+
+def role_table(seed):
+    t = rand_table(n=90, p=4, n_pos=14, seed=seed, names=["a", "role", "b", "c"])
+    t.X[:, 1] = np.random.default_rng(seed).integers(0, 5, size=len(t))
+    return t
+
+
+def identical_minority_table(seed):
+    t = rand_table(n=40, p=3, n_pos=6, seed=seed)
+    t.X[t.y == 1] = 0.5
+    return t
+
+
+def season_table(seed):
+    log, _ = generate(GeneratorConfig(n_players=10, weeks=10, seed=seed))
+    table, _ = build_training_table(assign_labels(log), log.players)
+    return table
+
+
+class TestRowAtATimeDistances:
+    @pytest.mark.parametrize("build", [tied_table, duplicated_table, role_table,
+                                       identical_minority_table, season_table])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_byte_equal_output_and_warning(self, build, seed):
+        table = build(seed)
+        want_X, want_warning = tensor_adasyn(table, seed)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = adasyn(table, ResamplingConfig(seed=seed))
+        assert out.X.tobytes() == want_X.tobytes()
+        assert any("identical" in str(w.message) for w in caught) == want_warning
+
+    def test_peak_memory_is_a_few_tables(self):
+        # the distance tensor alone would be 100 x 2,000 x 20 doubles = 32 MB
+        table = rand_table(n=2000, p=20, n_pos=100, seed=0)
+        tracemalloc.start()
+        try:
+            adasyn(table, ResamplingConfig(seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * table.X.nbytes
+
+
 class TestAdasyn:
     def test_fills_class_gap_exactly(self):
         t = rand_table(n=100, p=4, n_pos=15, seed=0)
         out = adasyn(t, ResamplingConfig(seed=0))
         assert int(out.y.sum()) == 85  # 15 originals + 70 synthetic
         assert len(out) == 170
-
-    def test_partial_balance_ratio(self):
-        t = rand_table(n=100, p=4, n_pos=15, seed=0)
-        out = adasyn(t, ResamplingConfig(balance_ratio=0.5, seed=0))
-        assert int(out.synthetic.sum()) == round(0.5 * (85 - 15))
 
     def test_originals_untouched_and_first(self):
         t = rand_table(n=60, p=3, n_pos=10, seed=1)
@@ -104,14 +211,6 @@ class TestAdasyn:
         t = rand_table(n=40, p=3, n_pos=20, seed=0)
         out = adasyn(t, ResamplingConfig(seed=0))
         assert out is t
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ResamplingConfig(k_neighbors=0)
-        with pytest.raises(ValueError):
-            ResamplingConfig(balance_ratio=0.0)
-        with pytest.raises(ValueError):
-            ResamplingConfig(balance_ratio=1.5)
 
     def test_identical_minority_warns(self):
         t = rand_table(n=30, p=2, n_pos=4, seed=3)

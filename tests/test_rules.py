@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from injurycast.errors import MissingColumn
 from injurycast.rules import (
     InjuryRule,
     RuleCondition,
@@ -99,6 +100,26 @@ class TestExtractRules:
             mask = rule.matches_matrix(pts, ["x0", "x1"])
             for i, row in enumerate(pts):
                 assert rule.matches({"x0": row[0], "x1": row[1]}) == mask[i]
+
+    def test_deep_chain_needs_no_recursion(self):
+        # alternating labels on one feature give a 3,000-level tree of 5,999
+        # nodes, which overflowed the recursive walk
+        X = np.arange(3000, dtype=float)[:, None]
+        y = np.arange(3000) % 2
+        model = fit_tree(X, y)
+        rules = extract_rules(model)
+        assert len(rules) == 1500
+        ids = [r.leaf_id for r in rules]
+        assert ids == sorted(ids)  # node ids are preorder, so rules are too
+        covered = np.zeros(len(X), dtype=bool)
+        for rule in rules:
+            covered |= rule.matches_matrix(X, model.feature_names)
+        np.testing.assert_array_equal(covered, y == 1)
+
+    def test_table_without_a_rule_feature(self):
+        (rule, _) = extract_rules(hand_tree())
+        with pytest.raises(MissingColumn, match="'x0'"):
+            rule.matches_matrix(np.zeros((3, 2)), ["a", "x1"])
 
     def test_boundary_semantics_match_tree_routing(self):
         model = hand_tree()
