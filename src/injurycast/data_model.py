@@ -35,9 +35,6 @@ class Role(Enum):
         return list(Role).index(self)
 
 
-ROLE_CODES = {role.code: role for role in Role}
-
-
 @dataclass(frozen=True)
 class PlayerProfile:
     player_id: str

@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,11 +84,10 @@ class TrainingTable:
         return self._order[1]
 
     def select_features(self, names) -> "TrainingTable":
-        """Table of the named columns; a cached sorted_rows() order is passed on."""
+        """Table of the named columns; shares y and row metadata, passes on sorted_rows()."""
         idx = [self.feature_names.index(n) for n in names]
-        sub = TrainingTable(list(names), self.X[:, idx].copy(), self.y.copy(),
-                            list(self.player_ids), list(self.dates),
-                            self.synthetic.copy())
+        sub = TrainingTable(list(names), self.X[:, idx].copy(), self.y, self.player_ids,
+                            self.dates, self.synthetic)
         if self._order is not None and self._order[0] is self.X:
             sub.X.flags.writeable = False
             sub._order = (sub.X, self._order[1][idx])
@@ -202,96 +202,96 @@ def pi_ewma(injury_counts, span: int = EWMA_SPAN) -> np.ndarray:
     return ewma(counts, span)
 
 
-def _window_values(dates, values, window_days: int, as_of: dt.date) -> np.ndarray:
-    lo = as_of - dt.timedelta(days=window_days - 1)
-    return np.array([v for d, v in zip(dates, values) if lo <= d <= as_of], dtype=float)
+def _window(dates, as_of: dt.date, days: int) -> slice:
+    """Positions of the ascending `dates` in [as_of - days + 1, as_of]."""
+    lo, hi = bisect_left(dates, as_of - dt.timedelta(days=days - 1)), bisect_right(dates, as_of)
+    if lo == hi:
+        raise MissingWindow(f"no sessions in the {days}-day window ending {as_of}")
+    return slice(lo, hi)
+
+
+def _acwr_rows(W, dates, as_of: dt.date) -> np.ndarray:
+    """`acwr` of every row of the (series x sessions) matrix W as of a date."""
+    chronic = W[:, _window(dates, as_of, ACWR_CHRONIC_DAYS)].mean(axis=1)
+    try:
+        acute = W[:, _window(dates, as_of, ACWR_ACUTE_DAYS)].mean(axis=1)
+    except MissingWindow:
+        acute = np.zeros(len(W))
+    ratio = np.where(acute > 0.0, ACWR_CAP, 0.0)
+    pos = chronic > 0.0
+    ratio[pos] = np.minimum(acute[pos] / chronic[pos], ACWR_CAP)
+    return ratio
+
+
+def _mswr_rows(W, dates, as_of: dt.date) -> np.ndarray:
+    """`mswr` of every row of the (series x sessions) matrix W as of a date."""
+    V = W[:, _window(dates, as_of, MSWR_WINDOW_DAYS)]
+    ratio = np.full(len(W), MSWR_CAP)
+    if V.shape[1] > 1:
+        # V.mean(axis=1) and V.std(axis=1, ddof=1) as numpy computes them, sharing the mean
+        mean = V.sum(axis=1, keepdims=True) / V.shape[1]
+        std = np.sqrt(np.square(V - mean).sum(axis=1) / (V.shape[1] - 1))
+        ok = ~(std < 1e-9)
+        ratio[ok] = np.minimum(mean[ok, 0] / std[ok], MSWR_CAP)
+    return ratio
+
+
+def _one_row(dates, values) -> np.ndarray:
+    if list(dates) != sorted(dates):
+        raise ValueError("dates must be in ascending order")
+    return np.asarray(values, dtype=float).reshape(1, -1)
 
 
 def rolling_mean(dates, values, window_days: int, as_of: dt.date) -> float:
     """Arithmetic mean over sessions dated in [as_of - window_days + 1, as_of]."""
     if window_days < 1:
         raise ValueError("window_days must be >= 1")
-    vals = _window_values(dates, values, window_days, as_of)
-    if vals.size == 0:
-        raise MissingWindow(f"no sessions in the {window_days}-day window ending {as_of}")
-    return float(vals.mean())
+    return float(_one_row(dates, values)[0, _window(dates, as_of, window_days)].mean())
 
 
 def acwr(dates, values, as_of: dt.date) -> float:
-    """Acute/chronic workload ratio from plain rolling means, capped at ACWR_CAP."""
-    chronic = rolling_mean(dates, values, ACWR_CHRONIC_DAYS, as_of)
-    try:
-        acute = rolling_mean(dates, values, ACWR_ACUTE_DAYS, as_of)
-    except MissingWindow:
-        acute = 0.0
-    if chronic <= 0.0:
-        return 0.0 if acute <= 0.0 else ACWR_CAP
-    return min(acute / chronic, ACWR_CAP)
+    """Acute/chronic workload ratio from plain rolling means, capped at ACWR_CAP;
+    an empty acute window counts as zero load."""
+    return float(_acwr_rows(_one_row(dates, values), dates, as_of)[0])
 
 
 def mswr(dates, values, as_of: dt.date) -> float:
-    """Training monotony: mean / sample std over the last week, capped at MSWR_CAP.
-
-    Fewer than two sessions in the window, or a near-zero std, means maximal
-    monotony and returns the cap.
-    """
-    vals = _window_values(dates, values, MSWR_WINDOW_DAYS, as_of)
-    if vals.size == 0:
-        raise MissingWindow(f"no sessions in the {MSWR_WINDOW_DAYS}-day window ending {as_of}")
-    if vals.size < 2:
-        return MSWR_CAP
-    std = float(vals.std(ddof=1))
-    if std < 1e-9:
-        return MSWR_CAP
-    return min(float(vals.mean()) / std, MSWR_CAP)
+    """Training monotony: mean / sample std over the last week, capped at MSWR_CAP;
+    fewer than two sessions in the window, or a near-zero std, give the cap."""
+    return float(_mswr_rows(_one_row(dates, values), dates, as_of)[0])
 
 
 def build_training_table(labeling: LabelingResult, profiles: dict):
-    """Assemble the 55-feature TrainingTable from labeled sessions.
-
-    EWMA features run over the player's session sequence (span counts training
-    sessions); ACWR and MSWR use calendar-day windows. Returns the table and a
-    BuildSummary with drop/orphan counts.
-    """
-    summary = BuildSummary(orphan_injuries=len(labeling.orphan_injuries),
-                           excluded_sessions=labeling.excluded_sessions)
+    """Assemble the 55-feature TrainingTable and a BuildSummary from labeled sessions,
+    stacking columns from each player's C-ordered (workloads x sessions) matrix so that
+    every window reduces a row slice in the order `acwr` and `mswr` reduce one series."""
     by_player = {}
-    for ls in labeling.labeled:
+    for ls in sorted(labeling.labeled, key=lambda ls: (ls.session.player_id, ls.session.date)):
         by_player.setdefault(ls.session.player_id, []).append(ls)
 
-    rows, labels, pids, dates = [], [], [], []
-    for pid in sorted(by_player):
-        seq = sorted(by_player[pid], key=lambda ls: ls.session.date)
+    blocks, labels, pids, dates = [], [], [], []
+    for pid, seq in by_player.items():
         profile = profiles[pid]
         sess_dates = [ls.session.date for ls in seq]
-        series = {f: [ls.session.workload[f] for ls in seq] for f in WORKLOAD_FEATURES}
-        ewma_series = {f: ewma(series[f], EWMA_SPAN) for f in WORKLOAD_FEATURES}
+        y = [ls.label for ls in seq]
+        W = np.array([[ls.session.workload[f] for ls in seq] for f in WORKLOAD_FEATURES], float)
         # prior-injury count before each session, recovered from earlier labels
-        pi_counts = np.cumsum([0] + [ls.label for ls in seq[:-1]])
-        pi_ewma_series = pi_ewma(pi_counts)
+        pi_counts = np.cumsum([0] + y[:-1])
+        blocks.append(np.column_stack([
+            W.T,
+            [[profile.age, profile.bmi, profile.role.code]] * len(seq), pi_counts,
+            [ls.session.play_time for ls in seq], [ls.session.games for ls in seq],
+            np.transpose([ewma(w, EWMA_SPAN) for w in W]),
+            [_acwr_rows(W, sess_dates, d) for d in sess_dates],
+            [_mswr_rows(W, sess_dates, d) for d in sess_dates],
+            pi_ewma(pi_counts),
+        ]))
+        labels += y
+        pids += [pid] * len(seq)
+        dates += sess_dates
 
-        for t, ls in enumerate(seq):
-            as_of = ls.session.date
-            feats = {}
-            for f in WORKLOAD_FEATURES:
-                feats[f] = ls.session.workload[f]
-                feats[f + "_ewma"] = ewma_series[f][t]
-                feats[f + "_acwr"] = acwr(sess_dates[:t + 1], series[f][:t + 1], as_of)
-                feats[f + "_mswr"] = mswr(sess_dates[:t + 1], series[f][:t + 1], as_of)
-            feats["age"] = profile.age
-            feats["bmi"] = profile.bmi
-            feats["role"] = profile.role.code
-            feats["pi"] = float(pi_counts[t])
-            feats["play_time"] = ls.session.play_time
-            feats["games"] = ls.session.games
-            feats["pi_ewma"] = pi_ewma_series[t]
-            rows.append([feats[name] for name in FEATURE_NAMES])
-            labels.append(ls.label)
-            pids.append(pid)
-            dates.append(as_of)
-
-    summary.n_examples = len(rows)
-    summary.n_injury = int(sum(labels))
-    table = TrainingTable(list(FEATURE_NAMES), np.array(rows, dtype=float).reshape(-1, 55),
-                          np.array(labels, dtype=int), pids, dates)
-    return table, summary
+    X = np.concatenate(blocks) if blocks else np.empty((0, len(FEATURE_NAMES)))
+    summary = BuildSummary(n_examples=len(labels), n_injury=int(sum(labels)),
+                           orphan_injuries=len(labeling.orphan_injuries),
+                           excluded_sessions=labeling.excluded_sessions)
+    return TrainingTable(list(FEATURE_NAMES), X, np.array(labels, dtype=int), pids, dates), summary

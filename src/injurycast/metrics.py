@@ -62,18 +62,11 @@ def auc(scores, labels) -> float:
     neg = scores[labels == 0]
     if len(pos) == 0 or len(neg) == 0:
         raise OneClassOnly("AUC needs both classes present")
-    # midrank computation avoids the O(n^2) pairwise loop
-    allv = np.concatenate([pos, neg])
-    order = np.argsort(allv, kind="stable")
-    ranks = np.empty(len(allv))
-    sorted_vals = allv[order]
-    i = 0
-    while i < len(allv):
-        j = i
-        while j + 1 < len(allv) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # midranks avoid the O(n^2) pairwise loop: a group of tied values spanning
+    # 1-based ranks a..b gets (a + b) / 2 = cumsum(counts) - (counts - 1) / 2
+    _, group, counts = np.unique(np.concatenate([pos, neg]), return_inverse=True,
+                                 return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     r_pos = ranks[:len(pos)].sum()
     u = r_pos - len(pos) * (len(pos) + 1) / 2.0
     return float(u / (len(pos) * len(neg)))

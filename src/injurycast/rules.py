@@ -17,9 +17,6 @@ class RuleCondition:
     lo: float  # exclusive lower bound (-inf when unbounded)
     hi: float  # inclusive upper bound (+inf when unbounded)
 
-    def contains(self, value: float) -> bool:
-        return self.lo < value <= self.hi
-
     def to_dict(self) -> dict:
         return {"feature": self.feature,
                 "lo": None if math.isinf(self.lo) else self.lo,
@@ -32,9 +29,6 @@ class InjuryRule:
     leaf_id: int
     frequency: float | None = None  # fraction of all injury examples covered
     accuracy: float | None = None  # fraction of covered examples that are injuries
-
-    def matches(self, features: dict) -> bool:
-        return all(c.contains(features[c.feature]) for c in self.conditions)
 
     def matches_matrix(self, X: np.ndarray, feature_names: list) -> np.ndarray:
         mask = np.ones(len(X), dtype=bool)

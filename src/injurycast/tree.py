@@ -94,15 +94,6 @@ class DecisionTreeModel:
         classes = (c[:, 1] > c[:, 0]).astype(int)
         return classes, scores
 
-    def predict_row(self, features: dict):
-        """Predict one example given a feature-name -> value mapping."""
-        missing = [n for n in self.feature_names if n not in features]
-        if missing:
-            raise MissingFeature(f"missing features {missing}")
-        x = np.array([[features[n] for n in self.feature_names]])
-        classes, scores = self.predict(x)
-        return int(classes[0]), float(scores[0])
-
     def importances(self) -> dict:
         """Normalized Gini importances over features actually used by splits."""
         raw = self._raw_importance

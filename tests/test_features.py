@@ -1,16 +1,21 @@
 import dataclasses
+import datetime as dt
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from injurycast.data_model import assign_labels
+from injurycast.data_model import WORKLOAD_FEATURES, assign_labels
 from injurycast.errors import EmptySeries, MissingWindow
 from injurycast.features import (
+    ACWR_ACUTE_DAYS,
     ACWR_CAP,
+    ACWR_CHRONIC_DAYS,
+    EWMA_SPAN,
     FEATURE_NAMES,
     MSWR_CAP,
+    MSWR_WINDOW_DAYS,
     TrainingTable,
     acwr,
     build_training_table,
@@ -19,6 +24,7 @@ from injurycast.features import (
     pi_ewma,
     rolling_mean,
 )
+from injurycast.generator import GeneratorConfig, generate
 from injurycast.tree import TreeHyperParams, fit_tree
 
 from conftest import day, make_log, planted_table, rand_table
@@ -36,6 +42,91 @@ def ewma_closed_form(x, span):
         v += sum(a * (1 - a) ** (t - i) * x[i] for i in range(1, t + 1))
         out.append(v)
     return np.array(out)
+
+
+# The filter-based window statistics and the per-row builder that the sorted-date
+# kernels and the column-wise build replaced; the package must match them bit for bit.
+def reference_window_values(dates, values, window_days, as_of):
+    lo = as_of - dt.timedelta(days=window_days - 1)
+    return np.array([v for d, v in zip(dates, values) if lo <= d <= as_of], dtype=float)
+
+
+def reference_rolling_mean(dates, values, window_days, as_of):
+    if window_days < 1:
+        raise ValueError("window_days must be >= 1")
+    vals = reference_window_values(dates, values, window_days, as_of)
+    if vals.size == 0:
+        raise MissingWindow(f"no sessions in the {window_days}-day window ending {as_of}")
+    return float(vals.mean())
+
+
+def reference_acwr(dates, values, as_of):
+    chronic = reference_rolling_mean(dates, values, ACWR_CHRONIC_DAYS, as_of)
+    try:
+        acute = reference_rolling_mean(dates, values, ACWR_ACUTE_DAYS, as_of)
+    except MissingWindow:
+        acute = 0.0
+    if chronic <= 0.0:
+        return 0.0 if acute <= 0.0 else ACWR_CAP
+    return min(acute / chronic, ACWR_CAP)
+
+
+def reference_mswr(dates, values, as_of):
+    vals = reference_window_values(dates, values, MSWR_WINDOW_DAYS, as_of)
+    if vals.size == 0:
+        raise MissingWindow(f"no sessions in the {MSWR_WINDOW_DAYS}-day window ending {as_of}")
+    if vals.size < 2:
+        return MSWR_CAP
+    std = float(vals.std(ddof=1))
+    if std < 1e-9:
+        return MSWR_CAP
+    return min(float(vals.mean()) / std, MSWR_CAP)
+
+
+def reference_build_X(labeling, profiles):
+    """One row at a time: prefix slices, scalar reference calls, a dict per row."""
+    by_player = {}
+    for ls in labeling.labeled:
+        by_player.setdefault(ls.session.player_id, []).append(ls)
+    rows = []
+    for pid in sorted(by_player):
+        seq = sorted(by_player[pid], key=lambda ls: ls.session.date)
+        profile = profiles[pid]
+        sess_dates = [ls.session.date for ls in seq]
+        series = {f: [ls.session.workload[f] for ls in seq] for f in WORKLOAD_FEATURES}
+        ewma_series = {f: ewma(series[f], EWMA_SPAN) for f in WORKLOAD_FEATURES}
+        pi_counts = np.cumsum([0] + [ls.label for ls in seq[:-1]])
+        pi_ewma_series = pi_ewma(pi_counts)
+        for t, ls in enumerate(seq):
+            as_of = ls.session.date
+            feats = {}
+            for f in WORKLOAD_FEATURES:
+                feats[f] = ls.session.workload[f]
+                feats[f + "_ewma"] = ewma_series[f][t]
+                feats[f + "_acwr"] = reference_acwr(sess_dates[:t + 1], series[f][:t + 1], as_of)
+                feats[f + "_mswr"] = reference_mswr(sess_dates[:t + 1], series[f][:t + 1], as_of)
+            feats.update(age=profile.age, bmi=profile.bmi, role=profile.role.code,
+                         pi=float(pi_counts[t]), play_time=ls.session.play_time,
+                         games=ls.session.games, pi_ewma=pi_ewma_series[t])
+            rows.append([feats[name] for name in FEATURE_NAMES])
+    return np.array(rows, dtype=float).reshape(-1, 55)
+
+
+def assert_bit_equal(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_same_statistic(ours, ref, *args):
+    """Bit-equal values, or MissingWindow from both."""
+    try:
+        want = ref(*args)
+    except MissingWindow:
+        with pytest.raises(MissingWindow):
+            ours(*args)
+    else:
+        assert_bit_equal(ours(*args), want)
 
 
 class TestEwma:
@@ -156,6 +247,80 @@ class TestWindows:
     def test_mswr_cap_bounds_output(self):
         dates = [day(0), day(1)]
         assert mswr(dates, [100.0, 100.0001], day(1)) == MSWR_CAP
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("seed,n_players", [(7, 26), (11, 26), (7, 104)])
+    def test_generated_season(self, seed, n_players):
+        log, _ = generate(GeneratorConfig(seed=seed, n_players=n_players))
+        labeling = assign_labels(log)
+        table, _ = build_training_table(labeling, log.players)
+        assert_bit_equal(table.X, reference_build_X(labeling, log.players))
+        order = sorted(labeling.labeled, key=lambda ls: (ls.session.player_id, ls.session.date))
+        assert table.player_ids == [ls.session.player_id for ls in order]
+        assert table.dates == [ls.session.date for ls in order]
+        np.testing.assert_array_equal(table.y, [ls.label for ls in order])
+
+    def test_edge_case_season(self):
+        # days 10 and 60 sit alone in their week; d_hsr is all zero (zero chronic
+        # load); d_tot jumps 1 -> 1000 on day 40 (ACWR cap); d_met differs by 1e-12
+        # (near-zero std); fi has mean/std near 2e5 (MSWR cap); the other workloads
+        # are constant; days 20..28 give daily windows longer than eight sessions
+        offsets = [0, 1, 2, 3, 10] + list(range(20, 29)) + [40, 41, 60]
+        log = make_log(offsets, injury_specs=[(5, 3)], jitter=lambda i: {
+            "d_hsr": 0.0,
+            "d_tot": 1000.0 if offsets[i] == 40 else 1.0,
+            "d_met": 100.0 + 1e-12 * i,
+            "d_hml": float(i * 37 % 11 + 1),
+            "fi": 100.0 + 0.001 * (i % 2)})
+        labeling = assign_labels(log)
+        table, _ = build_training_table(labeling, log.players)
+        assert_bit_equal(table.X, reference_build_X(labeling, log.players))
+        at = {name: table.column(name)[table.dates.index(day(40))] for name in FEATURE_NAMES}
+        assert at["d_tot_acwr"] == ACWR_CAP and at["d_hsr_acwr"] == 0.0
+        assert at["d_met_mswr"] == at["fi_mswr"] == MSWR_CAP
+        assert np.all(table.column("d_hsr_mswr") == MSWR_CAP)
+
+    def test_scalar_edge_cases(self):
+        cases = [
+            ([day(0), day(1)], [5.0, 5.0], day(9)),  # empty acute window
+            ([day(0), day(9)], [0.0, 0.0], day(9)),  # zero chronic load
+            ([day(0), day(20)], [-5.0, 5.0], day(20)),  # zero chronic, positive acute
+            ([day(0), day(20)], [-9.0, -1.0], day(20)),  # negative chronic
+            ([day(0), day(9)], [1.0, 2.0], day(9)),  # one-session week
+            ([day(0), day(1), day(2)], [7.0, 7.0, 7.0 + 1e-12], day(2)),  # near-zero std
+            ([day(2 * i) for i in range(10)] + [day(26)], [1.0] * 10 + [1000.0], day(26)),
+            ([day(0), day(1)], [100.0, 100.0001], day(1)),  # MSWR cap
+            ([day(0), day(0), day(3)], [1.0, 4.0, 2.0], day(3)),  # a shared date
+        ]
+        for dates, values, as_of in cases:
+            assert_same_statistic(acwr, reference_acwr, dates, values, as_of)
+            assert_same_statistic(mswr, reference_mswr, dates, values, as_of)
+            for days in (1, 3, 27):
+                assert_same_statistic(rolling_mean, reference_rolling_mean,
+                                      dates, values, days, as_of)
+
+    def test_random_windows(self):
+        # daily and sparse schedules, as-of dates inside, between and after sessions
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            offsets = np.cumsum(rng.integers(0, 4, size=int(rng.integers(1, 40))))
+            dates = [day(int(o)) for o in offsets]
+            values = rng.choice([0.0, 1.0, 2.5, 1e3], size=len(dates)) + rng.normal(size=len(dates))
+            as_of = day(int(rng.integers(0, offsets[-1] + 8)))
+            assert_same_statistic(acwr, reference_acwr, dates, values, as_of)
+            assert_same_statistic(mswr, reference_mswr, dates, values, as_of)
+            assert_same_statistic(rolling_mean, reference_rolling_mean,
+                                  dates, values, int(rng.integers(1, 30)), as_of)
+
+    def test_unsorted_dates_raise(self):
+        dates, values = [day(0), day(3), day(2)], [1.0, 2.0, 3.0]
+        with pytest.raises(ValueError, match="ascending"):
+            acwr(dates, values, day(3))
+        with pytest.raises(ValueError, match="ascending"):
+            mswr(dates, values, day(3))
+        with pytest.raises(ValueError, match="ascending"):
+            rolling_mean(dates, values, 7, day(3))
 
 
 class TestBuildTrainingTable:

@@ -79,6 +79,10 @@ class TestAuc:
             scores = np.round(rng.uniform(size=n), 1)  # coarse grid forces ties
             assert auc(scores, labels) == pytest.approx(
                 auc_pairwise(scores, labels), abs=1e-12)
+            # tie-heavy: two or three distinct scores, long runs of equal values
+            scores = rng.integers(0, int(rng.integers(2, 4)), size=n) / 2.0
+            assert auc(scores, labels) == pytest.approx(
+                auc_pairwise(scores, labels), abs=1e-12)
 
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(2)

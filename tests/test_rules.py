@@ -92,15 +92,6 @@ class TestExtractRules:
                 covered |= rule.matches_matrix(grid, model.feature_names)
             np.testing.assert_array_equal(pred.astype(bool), covered)
 
-    def test_matches_agrees_with_matrix(self):
-        rules = extract_rules(hand_tree())
-        rng = np.random.default_rng(1)
-        pts = rng.uniform(-1, 5, size=(100, 2))
-        for rule in rules:
-            mask = rule.matches_matrix(pts, ["x0", "x1"])
-            for i, row in enumerate(pts):
-                assert rule.matches({"x0": row[0], "x1": row[1]}) == mask[i]
-
     def test_deep_chain_needs_no_recursion(self):
         # alternating labels on one feature give a 3,000-level tree of 5,999
         # nodes, which overflowed the recursive walk
@@ -124,10 +115,14 @@ class TestExtractRules:
     def test_boundary_semantics_match_tree_routing(self):
         model = hand_tree()
         rules = extract_rules(model)
-        # exactly on the root threshold routes left (no-injury side)
-        pred, _ = model.predict(np.array([[2.0, 0.0]]))
-        assert pred[0] == 0
-        assert not any(r.matches({"x0": 2.0, "x1": 0.0}) for r in rules)
+        # exactly on a threshold routes left: x0 = 2 is no-injury, x1 = 1 is the
+        # (0, 3) leaf; just above x0 = 2 is an injury leaf
+        pts = np.array([[2.0, 0.0], [3.0, 1.0], [np.nextafter(2.0, 3.0), 5.0]])
+        pred, _ = model.predict(pts)
+        np.testing.assert_array_equal(pred, [0, 1, 1])
+        masks = [r.matches_matrix(pts, model.feature_names) for r in rules]
+        np.testing.assert_array_equal(np.any(masks, axis=0), pred == 1)
+        np.testing.assert_array_equal(masks[0], [False, True, False])  # leaf 3: x1 <= 1
 
 
 class TestRuleStats:

@@ -242,7 +242,7 @@ class TestFitTree:
         with pytest.raises(MissingFeature):
             model.predict(np.zeros((1, 3)))
         with pytest.raises(MissingFeature):
-            model.predict_row({"f0": 0.0})
+            model.predict(np.zeros((1, 1)))
 
     def test_hyperparam_validation(self):
         with pytest.raises(ValueError):
@@ -267,14 +267,6 @@ class TestFitTree:
         np.testing.assert_array_equal(s1, s2)
         assert back.hyperparams == model.hyperparams
         assert back.importances() == model.importances()
-
-    def test_predict_row_matches_predict(self):
-        t = planted_table(n=150, seed=8)
-        model = fit_tree(t, hp=TreeHyperParams(max_depth=3))
-        row = {n: float(v) for n, v in zip(t.feature_names, t.X[5])}
-        cls, score = model.predict_row(row)
-        p, s = model.predict(t.X[5:6])
-        assert (cls, score) == (int(p[0]), float(s[0]))
 
     @given(hnp.arrays(np.float64, st.tuples(st.integers(2, 25), st.integers(1, 4)),
                       elements=st.floats(-100, 100, allow_nan=False)),
