@@ -164,7 +164,6 @@ class TrainingTable:
 class BuildSummary:
     n_examples: int = 0
     n_injury: int = 0
-    dropped_empty_chronic: int = 0
     orphan_injuries: int = 0
     excluded_sessions: int = 0
 

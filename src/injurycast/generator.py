@@ -15,7 +15,7 @@ from .data_model import (
     TrainingSession,
 )
 from .errors import ConfigInvalid
-from .features import EWMA_SPAN, ewma, mswr
+from .features import EWMA_SPAN, mswr
 
 # season-level mean/sd calibration targets for each workload feature
 DEFAULT_FEATURE_STATS = {
@@ -189,6 +189,14 @@ def _profiles(rng, n_players):
     return profiles
 
 
+def _ewma_step(state, x):
+    """features.ewma's recursion one value at a time: state is None before the first."""
+    if state is None:
+        return float(x)
+    alpha = 2.0 / (EWMA_SPAN + 1)
+    return alpha * float(x) + (1 - alpha) * state
+
+
 def generate(cfg: GeneratorConfig):
     """Generate a SeasonLog plus a ground-truth ledger naming each injury's cause.
 
@@ -208,9 +216,9 @@ def generate(cfg: GeneratorConfig):
         multiplier = float(rng.lognormal(0.0, cfg.player_spread))
         absent_until = None  # last date of the current absence window
         sessions_since_return = None  # None until the first injury
-        hist_dates, hist_hsr, hist_tot = [], [], []
+        hist_dates, hist_tot = [], []
+        hsr_ewma = pi_ewma = None  # running EWMA states
         pi_count = 0
-        pi_series = []
         games = 0
         player_sessions = []
 
@@ -239,14 +247,14 @@ def generate(cfg: GeneratorConfig):
                     play_time=float(np.round(rng.uniform(0, 95), 1)), games=games)
                 player_sessions.append(session)
                 hist_dates.append(date)
-                hist_hsr.append(workload["d_hsr"])
                 hist_tot.append(workload["d_tot"])
-                pi_series.append(pi_count)
+                hsr_ewma = _ewma_step(hsr_ewma, workload["d_hsr"])
+                pi_ewma = _ewma_step(pi_ewma, pi_count)
 
                 feats = {
-                    "d_hsr_ewma": float(ewma(hist_hsr, EWMA_SPAN)[-1]),
+                    "d_hsr_ewma": hsr_ewma,
                     "d_tot_mswr": mswr(hist_dates, hist_tot, date),
-                    "pi_ewma": float(ewma(pi_series, EWMA_SPAN)[-1]),
+                    "pi_ewma": pi_ewma,
                 }
                 cause = None
                 for rule in cfg.planted_rules:

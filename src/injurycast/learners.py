@@ -7,7 +7,7 @@ import numpy as np
 
 from .errors import EmptyTable, NonConvergence
 from .metrics import ConfusionMatrix, metrics, stratified_kfold
-from .tree import TreeHyperParams, fit_tree
+from .tree import TreeHyperParams, _grow, fit_tree
 
 
 def default_grid():
@@ -114,15 +114,15 @@ def _cv_folds(table, folds, seed):
             for train_idx, test_idx in stratified_kfold(table.y, folds, seed)]
 
 
+def _injury_f1(model, test):
+    pred, _ = model.predict(test.X)
+    return metrics(ConfusionMatrix.from_predictions(test.y, pred))["injury"]["f1"]
+
+
 def _cv_injury_f1(cv, hp, seed):
     """Mean injury-class F1 of trees fitted and scored on the (train, test) pairs."""
-    scores = []
-    for train, test in cv:
-        model = fit_tree(train, hp=hp, seed=seed)
-        pred, _ = model.predict(test.X)
-        cm = ConfusionMatrix.from_predictions(test.y, pred)
-        scores.append(metrics(cm)["injury"]["f1"])
-    return float(np.mean(scores))
+    return float(np.mean([_injury_f1(fit_tree(train, hp=hp, seed=seed), test)
+                          for train, test in cv]))
 
 
 def tune(table, grid=None, folds: int = 2, seed: int = 0) -> TreeHyperParams:
@@ -161,22 +161,33 @@ def rfecv(table, hp: TreeHyperParams = TreeHyperParams(max_depth=5),
     At each size the current subset is scored by stratified-CV injury F1 and
     the lowest-importance feature is dropped; the best-scoring subset wins,
     with ties resolved toward the smallest subset.
+
+    Each fold's tree and the importance tree are refitted from their tree at
+    the previous size (tree._grow), which keeps every node the dropped feature
+    cannot change; the models are the ones fit_tree would give.
     """
     cv = _cv_folds(table, folds, seed)
     current = list(table.feature_names)
     sub = table
+    fold_models = [None] * len(cv)
+    model = None
+    dropped = -1
     trace = {}
     subsets = {}
     while True:
-        trace[len(current)] = _cv_injury_f1(cv, hp, seed)
+        fold_models = [_grow(train, hp=hp, seed=seed, prev=prev, dropped=dropped)
+                       for (train, _), prev in zip(cv, fold_models)]
+        trace[len(current)] = float(np.mean([_injury_f1(m, test)
+                                             for m, (_, test) in zip(fold_models, cv)]))
         subsets[len(current)] = list(current)
         if len(current) == 1:
             break
-        model = fit_tree(sub, hp=hp, seed=seed)
+        model = _grow(sub, hp=hp, seed=seed, prev=model, dropped=dropped)
         imp = model.importances()
         # drop the least important feature; unused features rank lowest,
         # ties resolved by column order
         drop = min(current, key=lambda n: (imp.get(n, 0.0), current.index(n)))
+        dropped = current.index(drop)
         current.remove(drop)
         # narrowing keeps each table's sorted order: nothing is sorted again
         sub = sub.select_features(current)

@@ -55,6 +55,10 @@ class DecisionTreeModel:
         self.right = []
         self.counts = []  # per node (n_class0, n_class1)
         self._raw_importance = None
+        # per split node: its tie set and weighted child impurity, so a refit
+        # without one column can keep the node (_grow); not serialised
+        self._ties = []
+        self._child_impurity = []
 
     @property
     def n_nodes(self) -> int:
@@ -66,6 +70,8 @@ class DecisionTreeModel:
         self.left.append(-1)
         self.right.append(-1)
         self.counts.append((int(counts[0]), int(counts[1])))
+        self._ties.append(None)
+        self._child_impurity.append(None)
         return len(self.feature) - 1
 
     def _finalize(self):
@@ -149,9 +155,11 @@ def _best_split(sv, sy, min_leaf):
     """Best split of one node over its candidate features, in one vectorised pass.
 
     Row j of sv holds the node's values of candidate j in ascending order and
-    row j of sy their labels. Returns (j, threshold, weighted child impurity)
-    for the lowest weighted child Gini, ties going to the first candidate and
-    within it to the first position, or None when no candidate has a valid split.
+    row j of sy their labels. Returns (j, threshold, weighted child impurity,
+    tie set) for the lowest weighted child Gini, ties going to the first
+    candidate and within it to the first position, or None when no candidate
+    has a valid split. The tie set lists, in ascending order, every candidate
+    whose best position attains that minimum.
     """
     n = sv.shape[1]
     lo, hi = min_leaf - 1, n - min_leaf  # left child of i + 1 rows, i in [lo, hi)
@@ -168,12 +176,15 @@ def _best_split(sv, sy, min_leaf):
     gini_r = 1.0 - ((pos_r / sizes_r) ** 2 + ((sizes_r - pos_r) / sizes_r) ** 2)
     weighted = (sizes_l * gini_l + sizes_r * gini_r) / n
     weighted = np.where(valid, weighted, np.inf)
-    # row-major argmin: the first candidate holding the minimum, at its first position
-    j, i = divmod(int(np.argmin(weighted)), hi - lo)
-    if weighted[j, i] == np.inf:
+    # the first candidate holding the minimum, at its first position
+    row_min = weighted.min(axis=1)
+    j = int(np.argmin(row_min))
+    best = row_min[j]
+    if best == np.inf:
         return None
+    i = int(np.argmin(weighted[j]))
     threshold = 0.5 * (sv[j, lo + i] + sv[j, lo + i + 1])
-    return j, float(threshold), float(weighted[j, i])
+    return j, float(threshold), float(best), np.flatnonzero(row_min == best)
 
 
 def fit_tree(table_or_X, y=None, feature_names=None,
@@ -192,6 +203,16 @@ def fit_tree(table_or_X, y=None, feature_names=None,
     its sorted rows. Nodes grow from an explicit stack in preorder, so depth
     is not bounded by the recursion limit.
     """
+    return _grow(table_or_X, y, feature_names, hp, seed, max_features)
+
+
+def _grow(table_or_X, y=None, feature_names=None, hp: TreeHyperParams = TreeHyperParams(),
+          seed: int = 0, max_features: int | None = None,
+          prev: DecisionTreeModel | None = None, dropped: int = -1) -> DecisionTreeModel:
+    """fit_tree's grow loop. Given prev, a tree fitted with the same rows, hp and
+    seed on these columns plus one more at index dropped, it returns the model
+    fit_tree would, byte for byte, and searches only the nodes that the dropped
+    column can change (recursive feature elimination refits this way)."""
     if y is None:
         table = table_or_X
         X = table.X
@@ -207,10 +228,14 @@ def fit_tree(table_or_X, y=None, feature_names=None,
         raise EmptyTable("cannot fit a tree on an empty table")
     if X.shape[1] == 0:
         raise EmptyTable("cannot fit a tree with no features")
+    if prev is not None and max_features is not None:
+        raise ValueError("a refit from a previous tree cannot subsample features")
 
     rng = np.random.default_rng(seed)
     p = X.shape[1]
     feature_order = rng.permutation(p)
+    rank = np.empty(p, dtype=int)  # position of each feature in feature_order
+    rank[feature_order] = np.arange(p)
 
     model = DecisionTreeModel(feature_names, hp)
     raw_importance = np.zeros(p)
@@ -219,9 +244,10 @@ def fit_tree(table_or_X, y=None, feature_names=None,
     cols = np.ascontiguousarray(X.T)
     offsets = np.arange(p)[:, None] * n_total  # rows[f] + offsets[f] index cols.ravel()
     root = table.sorted_rows() if table is not None else presort(X)
-    stack = [(root, 0, -1, model.left)]  # (sorted rows, depth, parent, parent's link)
+    # (sorted rows, depth, parent, parent's link, prev's node with these rows or -1)
+    stack = [(root, 0, -1, model.left, 0 if prev is not None else -1)]
     while stack:
-        rows, depth, parent, link = stack.pop()
+        rows, depth, parent, link, old = stack.pop()
         ones = y.take(rows[0])
         n = len(ones)
         counts = (n - ones.sum(), ones.sum())
@@ -231,33 +257,62 @@ def fit_tree(table_or_X, y=None, feature_names=None,
         impurity = gini(counts)
         if (impurity == 0.0
                 or n < hp.min_samples_split
-                or (hp.max_depth is not None and depth >= hp.max_depth)):
+                or (hp.max_depth is not None and depth >= hp.max_depth)
+                or (old >= 0 and prev.feature[old] < 0)):  # prev's leaf, see below
             continue
 
-        cand = feature_order
-        if max_features is not None and max_features < p:
-            cand = rng.choice(p, size=max_features, replace=False)
-        cand_rows = rows[cand]
-        sv = cols.take(cand_rows + offsets[cand])
-        split = _best_split(sv, y.take(cand_rows), hp.min_samples_leaf)
-        if split is None:
-            continue
-        j, best_thr, best_child_imp = split
-        best_feat = int(cand[j])
+        kept = False
+        if old >= 0:
+            # prev's node has these rows and the candidates are its candidates
+            # minus the dropped one. A leaf there stays a leaf: the stopping
+            # tests read only rows, depth and hp, and the minimum child impurity
+            # over fewer features cannot fall, so neither can a failed split
+            # succeed. A split keeps its (minimal) child impurity whenever its
+            # winner survives, and the new winner is the first feature of the
+            # tie set minus the dropped one in the new feature_order: the
+            # full search would pick that feature at that position, so the
+            # threshold, the decrease and the children's rows are the same, and
+            # each child is again reached with prev's rows.
+            old_feat = int(prev.feature[old])
+            best_feat = old_feat - (old_feat > dropped)
+            ties = prev._ties[old]
+            ties = ties[ties != dropped]
+            ties -= ties > dropped
+            kept = old_feat != dropped and ties[np.argmin(rank[ties])] == best_feat
+        if kept:
+            best_thr = float(prev.threshold[old])
+            best_child_imp = prev._child_impurity[old]
+            children = (int(prev.left[old]), int(prev.right[old]))
+            goes_left[rows[best_feat]] = cols[best_feat].take(rows[best_feat]) <= best_thr
+        else:
+            cand = feature_order
+            if max_features is not None and max_features < p:
+                cand = rng.choice(p, size=max_features, replace=False)
+            cand_rows = rows[cand]
+            sv = cols.take(cand_rows + offsets[cand])
+            split = _best_split(sv, y.take(cand_rows), hp.min_samples_leaf)
+            if split is None:
+                continue
+            j, best_thr, best_child_imp, ties = split
+            best_feat = int(cand[j])
+            ties = cand[ties]
+            children = (-1, -1)
+            goes_left[cand_rows[j]] = sv[j] <= best_thr
         decrease = impurity - best_child_imp
         if decrease <= 1e-12:
             continue
 
-        goes_left[cand_rows[j]] = sv[j] <= best_thr
         left = goes_left.take(rows).ravel()
         model.feature[node_id] = best_feat
         model.threshold[node_id] = best_thr
+        model._ties[node_id] = ties
+        model._child_impurity[node_id] = best_child_imp
         raw_importance[best_feat] += (n / n_total) * decrease
         # right is pushed first so the left subtree is grown first: preorder ids
         stack.append((np.compress(~left, rows).reshape(p, -1), depth + 1, node_id,
-                      model.right))
+                      model.right, children[1]))
         stack.append((np.compress(left, rows).reshape(p, -1), depth + 1, node_id,
-                      model.left))
+                      model.left, children[0]))
 
     model._finalize()
     model._raw_importance = raw_importance

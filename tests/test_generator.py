@@ -84,13 +84,12 @@ class TestGenerate:
         assert set(parsed) == {"injuries", "by_rule"}
 
     def test_planted_causes_satisfy_their_rule(self, season):
-        """Recompute the causal features from the raw log and re-check each rule."""
+        """Recompute the causal features from the raw log, compare them with the
+        ledger's running values and re-check each rule."""
         log, ledger = season
         rules = {r.name: r for r in default_planted_rules()}
         checked = 0
         for cause in ledger.causes:
-            if cause["rule"] == "base_rate":
-                continue
             pid = cause["player_id"]
             sess_date = dt.date.fromisoformat(cause["session_date"])
             seq = [s for s in log.sessions[pid] if s.date <= sess_date]
@@ -104,6 +103,9 @@ class TestGenerate:
                 "d_tot_mswr": mswr(dates, tot, sess_date),
                 "pi_ewma": float(ewma(pi_series, EWMA_SPAN)[-1]),
             }
+            assert cause["features"] == {k: round(v, 4) for k, v in feats.items()}
+            if cause["rule"] == "base_rate":
+                continue
             assert rules[cause["rule"]].fires(feats)
             checked += 1
         assert checked > 0

@@ -4,7 +4,10 @@ import pytest
 from injurycast.errors import NonConvergence
 from injurycast.features import TrainingTable
 from injurycast.learners import (
+    FeatureSubset,
     LinearModel,
+    _cv_folds,
+    _cv_injury_f1,
     default_grid,
     fit_forest,
     fit_logit,
@@ -13,6 +16,7 @@ from injurycast.learners import (
     rfecv,
     tune,
 )
+from injurycast.resampling import ResamplingConfig, adasyn
 from injurycast.tree import TreeHyperParams
 
 from conftest import planted_table, rand_table
@@ -21,6 +25,30 @@ from conftest import planted_table, rand_table
 def table_from(X, y, names=None):
     names = names or [f"f{i}" for i in range(X.shape[1])]
     return TrainingTable(list(names), X, y, [""] * len(y), [None] * len(y))
+
+
+def reference_rfecv(table, hp=TreeHyperParams(max_depth=5), folds=3, seed=0):
+    """rfecv with every tree fitted from scratch by fit_tree; rfecv's chained
+    refits must reproduce its subset and score trace exactly."""
+    cv = _cv_folds(table, folds, seed)
+    current = list(table.feature_names)
+    sub = table
+    trace = {}
+    subsets = {}
+    while True:
+        trace[len(current)] = _cv_injury_f1(cv, hp, seed)
+        subsets[len(current)] = list(current)
+        if len(current) == 1:
+            break
+        model = fit_tree(sub, hp=hp, seed=seed)
+        imp = model.importances()
+        drop = min(current, key=lambda n: (imp.get(n, 0.0), current.index(n)))
+        current.remove(drop)
+        sub = sub.select_features(current)
+        cv = [(train.select_features(current), test.select_features(current))
+              for train, test in cv]
+    best_size = min(trace, key=lambda s: (-trace[s], s))
+    return FeatureSubset(subsets[best_size], trace)
 
 
 class TestGrid:
@@ -82,6 +110,30 @@ class TestRfecv:
     def test_deterministic(self):
         t = planted_table(n=200, seed=7)
         assert rfecv(t, folds=3, seed=2).names == rfecv(t, folds=3, seed=2).names
+
+
+class TestRfecvMatchesReference:
+    def _assert_same(self, table, **kwargs):
+        got, want = rfecv(table, **kwargs), reference_rfecv(table, **kwargs)
+        assert got.names == want.names
+        assert got.score_trace == want.score_trace
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_balanced_season(self, small_table, seed):
+        self._assert_same(adasyn(small_table, ResamplingConfig(seed=seed)), seed=seed)
+
+    @pytest.mark.parametrize("hp", [TreeHyperParams(), TreeHyperParams(max_depth=2)])
+    def test_planted_and_random_tables(self, hp):
+        self._assert_same(planted_table(n=200, seed=8, noise_features=6), hp=hp, seed=1)
+        self._assert_same(rand_table(n=90, p=8, n_pos=35, seed=9), hp=hp, seed=4)
+
+    def test_tie_heavy_table_with_duplicate_rows(self):
+        rng = np.random.default_rng(12)
+        X = rng.integers(0, 3, size=(60, 7)).astype(float)
+        X[:, 3] = X[:, 0]
+        X[30:] = X[:30]
+        y = rng.integers(0, 2, size=60)
+        self._assert_same(table_from(X, y), hp=TreeHyperParams(), seed=2)
 
 
 class TestLogit:

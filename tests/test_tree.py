@@ -4,10 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from injurycast.data_model import assign_labels
 from injurycast.errors import EmptyNode, EmptyTable, MissingFeature
+from injurycast.features import build_training_table
+from injurycast.generator import GeneratorConfig, generate
 from injurycast.learners import default_grid
 from injurycast.resampling import ResamplingConfig, adasyn
-from injurycast.tree import DecisionTreeModel, TreeHyperParams, fit_tree, gini
+from injurycast.tree import DecisionTreeModel, TreeHyperParams, _grow, fit_tree, gini
 
 from conftest import planted_table, rand_table
 
@@ -331,3 +334,94 @@ class TestMatchesReferenceFitter:
         assert model.n_nodes == 5999
         pred, _ = model.predict(X)
         np.testing.assert_array_equal(pred, y)
+
+
+def _next_drop(model, step, rng):
+    """Column to drop after `model`: in turn a split's winner, a tie-set member that
+    did not win its node, and any column, so both of _grow's branches run."""
+    split = np.flatnonzero(model.feature >= 0)
+    winners = model.feature[split]
+    losers = [f for node in split for f in model._ties[node] if f != model.feature[node]]
+    pools = [winners, losers, np.arange(len(model.feature_names))]
+    pool = pools[step % 3] if len(pools[step % 3]) else pools[2]
+    return int(rng.choice(pool))
+
+
+def _drop_kind(model, dropped):
+    split = np.flatnonzero(model.feature >= 0)
+    if dropped in model.feature[split]:
+        return "winner"
+    if any(dropped in model._ties[node] for node in split):
+        return "tie"
+    return "unused"
+
+
+class TestChainedRefit:
+    """_grow given the previous size's tree must return fit_tree's model."""
+
+    @pytest.fixture(scope="class", params=[7, 11])
+    def season_table(self, request):
+        log, _ = generate(GeneratorConfig(n_players=12, weeks=12, seed=request.param))
+        table, _ = build_training_table(assign_labels(log), log.players)
+        return adasyn(table, ResamplingConfig(seed=request.param))
+
+    @pytest.mark.parametrize("hp", [TreeHyperParams(max_depth=5), TreeHyperParams(),
+                                    TreeHyperParams(max_depth=8, min_samples_leaf=5)])
+    def test_generated_season_every_size(self, season_table, hp):
+        rng = np.random.default_rng(0)
+        t = season_table
+        names = list(t.feature_names)
+        model = _grow(t, hp=hp, seed=3)
+        assert model.to_json() == fit_tree(t, hp=hp, seed=3).to_json()
+        kinds = set()
+        for step in range(len(names) - 1):
+            dropped = _next_drop(model, step, rng)
+            kinds.add(_drop_kind(model, dropped))
+            names.pop(dropped)
+            t = t.select_features(names)
+            model = _grow(t, hp=hp, seed=3, prev=model, dropped=dropped)
+            assert model.to_json() == fit_tree(t, hp=hp, seed=3).to_json(), len(names)
+        assert kinds == {"winner", "tie", "unused"}
+
+    def test_tie_heavy_tables_with_duplicate_rows(self):
+        rng = np.random.default_rng(5)
+        kinds = set()
+        for trial in range(80):
+            n = int(rng.integers(2, 40))
+            p = int(rng.integers(2, 7))
+            # few distinct values, a copied column and repeated rows: many equal gains
+            X = rng.integers(0, 3, size=(n, p)).astype(float)
+            X[:, rng.integers(p)] = X[:, 0]
+            X[n // 2:] = X[:n - n // 2]
+            y = rng.integers(0, 2, size=n)
+            hp = TreeHyperParams(max_depth=[None, 1, 3][trial % 3],
+                                 min_samples_leaf=int(rng.integers(1, 4)),
+                                 min_samples_split=int(rng.integers(1, 6)))
+            names = [f"f{i}" for i in range(p)]
+            model = _grow(X, y, names, hp=hp, seed=trial)
+            for step in range(p - 1):
+                dropped = _next_drop(model, step, rng)
+                kinds.add(_drop_kind(model, dropped))
+                X = np.delete(X, dropped, axis=1)
+                names.pop(dropped)
+                model = _grow(X, y, names, hp=hp, seed=trial, prev=model, dropped=dropped)
+                want = fit_tree(X, y, names, hp=hp, seed=trial)
+                assert model.to_json() == want.to_json(), (trial, step)
+        assert kinds == {"winner", "tie", "unused"}
+
+    def test_kept_split_keeps_threshold_and_children(self):
+        # the dropped column is unused and no tie set holds it: nothing is searched
+        X = np.array([[0.0, 5.0], [1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
+        y = np.array([0, 0, 1, 1])
+        prev = _grow(X, y, ["x", "flat"])
+        model = _grow(X[:, :1], y, ["x"], prev=prev, dropped=1)
+        assert model.to_json() == fit_tree(X[:, :1], y, ["x"]).to_json()
+        assert model.threshold[0] == 1.5
+        assert list(model._ties[0]) == [0]
+
+    def test_refit_cannot_subsample_features(self):
+        X = np.arange(8, dtype=float).reshape(4, 2)
+        y = np.array([0, 1, 0, 1])
+        prev = _grow(X, y)
+        with pytest.raises(ValueError):
+            _grow(X[:, :1], y, prev=prev, dropped=1, max_features=1)
