@@ -3,12 +3,15 @@ season simulation, rule extraction and synthetic-season generation."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime as dt
 import json
+import math
 import sys
+from decimal import Decimal
 
 from .data_model import assign_labels, parse_season, write_season_csvs
-from .errors import InjurycastError
+from .errors import ConfigInvalid, InjurycastError
 from .features import TrainingTable, build_training_table
 from .generator import GeneratorConfig, PlantedRule, generate
 from .pipeline import (PipelineConfig, _select_and_tune, compare_forecasters,
@@ -24,6 +27,16 @@ def _write(path, text):
     else:
         with open(path, "w") as fh:
             fh.write(text)
+
+
+def _at_least(low, number=int):
+    """argparse type: a finite `number` >= low; a Decimal keeps the text's digits."""
+    def parse(text):
+        if not low <= float(text) < math.inf:
+            raise argparse.ArgumentTypeError(f"must be a finite number >= {low}, got {text!r}")
+        return number(text)
+    parse.__name__ = number.__name__  # argparse reports "invalid int value: ..."
+    return parse
 
 
 def _load_log(args):
@@ -116,6 +129,12 @@ def _parse_generator_config(path, seed):
     if path:
         with open(path) as fh:
             overrides = json.load(fh)
+    if not isinstance(overrides, dict):
+        raise ConfigInvalid(f"{path}: must hold a JSON object")
+    settable = {f.name for f in dataclasses.fields(GeneratorConfig)} - {"seed"}
+    if not set(overrides) <= settable:
+        raise ConfigInvalid(f"{path}: cannot set {sorted(set(overrides) - settable)}; "
+                            f"settable keys are {sorted(settable)}")
     if "planted_rules" in overrides:
         overrides["planted_rules"] = tuple(
             PlantedRule(r["name"],
@@ -140,43 +159,49 @@ def _cmd_generate(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, as every other error
+        self.exit(2, f"{self.prog}: error: {message} (see -h)\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="injurycast",
         description="Injury forecasting from GPS training-load data.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="parse and validate season CSVs")
     _add_season_inputs(p)
-    p.add_argument("--horizon", type=int, default=3)
+    p.add_argument("--horizon", type=_at_least(1), default=3)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("featurize", help="build the labeled feature table")
     _add_season_inputs(p)
-    p.add_argument("--horizon", type=int, default=3)
+    p.add_argument("--horizon", type=_at_least(1), default=3)
     p.add_argument("--out", required=True, help="output table CSV")
     p.set_defaults(func=_cmd_featurize)
 
     p = sub.add_parser("train", help="run the pipeline and fit a model")
     p.add_argument("--table", required=True, help="feature table CSV")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_at_least(0), required=True)
     p.add_argument("--out", required=True, help="model JSON path")
     p.add_argument("--report", default="-", help="EvalReport JSON path")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("compare", help="forecaster comparison table")
     p.add_argument("--table", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_at_least(0), required=True)
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("simulate", help="walk-forward weekly retraining")
     _add_season_inputs(p)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_at_least(0), required=True)
     p.add_argument("--start-week", type=int, default=6)
-    p.add_argument("--salary", default="83", help="daily salary for cost report")
+    p.add_argument("--salary", type=_at_least(0, Decimal), default="83",
+                   help="daily salary for cost report")
     p.add_argument("--out", required=True, help="weekly outcome CSV")
     p.add_argument("--report", default="-", help="trace + cost JSON path")
     p.set_defaults(func=_cmd_simulate)
@@ -189,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rules)
 
     p = sub.add_parser("generate", help="generate a synthetic season")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_at_least(0), required=True)
     p.add_argument("--config", help="JSON file of GeneratorConfig overrides")
     p.add_argument("--sessions", required=True, help="output sessions CSV")
     p.add_argument("--injuries", required=True, help="output injuries CSV")

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -171,12 +172,25 @@ def _field(path, lineno, row, name, conv):
         raise MalformedRow(path, lineno, name, str(exc)) from exc
 
 
+def _number(conv, positive=False):
+    """conv(text), refused with a ValueError, which _field reports with its column,
+    unless finite and, if asked, > 0."""
+    def parse(text):
+        value = conv(text)
+        if not math.isfinite(value) or positive and value <= 0:
+            raise ValueError(f"{text!r} is not a finite{' positive' if positive else ''} number")
+        return value
+    return parse
+
+
 def parse_season(sessions_file, injuries_file, players_file) -> SeasonLog:
     """Parse and cross-validate the three season CSVs into a SeasonLog.
 
-    Raises MalformedRow, UnknownPlayer, DuplicateSession or NegativeWorkload;
+    Raises MalformedRow (a value out of range or a player's second injury on
+    one date included), UnknownPlayer, DuplicateSession or NegativeWorkload;
     never silently drops a row.
     """
+    finite, positive, positive_int = _number(float), _number(float, True), _number(int, True)
     players = {}
     for lineno, row in _parse_csv(players_file, PLAYERS_HEADER):
         role_raw = row["role"]
@@ -187,9 +201,9 @@ def parse_season(sessions_file, injuries_file, players_file) -> SeasonLog:
                                f"'{role_raw}' is not one of {[r.value for r in Role]}")
         profile = PlayerProfile(
             player_id=row["player_id"],
-            age=_field(players_file, lineno, row, "age", int),
-            height_cm=_field(players_file, lineno, row, "height_cm", float),
-            body_mass_kg=_field(players_file, lineno, row, "mass_kg", float),
+            age=_field(players_file, lineno, row, "age", positive_int),
+            height_cm=_field(players_file, lineno, row, "height_cm", positive),
+            body_mass_kg=_field(players_file, lineno, row, "mass_kg", positive),
             role=role,
         )
         if profile.player_id in players:
@@ -207,25 +221,31 @@ def parse_season(sessions_file, injuries_file, players_file) -> SeasonLog:
         if (pid, date) in seen:
             raise DuplicateSession(f"{sessions_file}:{lineno}: duplicate session {pid}@{date}")
         seen.add((pid, date))
-        workload = {name: _field(sessions_file, lineno, row, name, float)
+        workload = {name: _field(sessions_file, lineno, row, name, finite)
                     for name in WORKLOAD_FEATURES}
         sessions[pid].append(TrainingSession(
             player_id=pid,
             date=date,
             workload=workload,
-            play_time=_field(sessions_file, lineno, row, "play_time", float),
+            play_time=_field(sessions_file, lineno, row, "play_time", finite),
             games=_field(sessions_file, lineno, row, "games", int),
         ))
 
     injuries = []
+    onsets = set()
     for lineno, row in _parse_csv(injuries_file, INJURIES_HEADER):
         pid = row["player_id"]
         if pid not in players:
             raise UnknownPlayer(f"{injuries_file}:{lineno}: unknown player '{pid}'")
+        onset = _field(injuries_file, lineno, row, "onset_date", dt.date.fromisoformat)
+        if (pid, onset) in onsets:
+            raise MalformedRow(injuries_file, lineno, "onset_date",
+                               f"'{pid}' already has an injury on {onset}")
+        onsets.add((pid, onset))
         injuries.append(InjuryRecord(
             player_id=pid,
-            onset_date=_field(injuries_file, lineno, row, "onset_date", dt.date.fromisoformat),
-            days_absent=_field(injuries_file, lineno, row, "days_absent", int),
+            onset_date=onset,
+            days_absent=_field(injuries_file, lineno, row, "days_absent", positive_int),
         ))
 
     return SeasonLog(players=players, sessions=sessions, injuries=injuries)

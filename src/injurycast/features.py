@@ -5,13 +5,12 @@ import csv
 import datetime as dt
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data_model import WORKLOAD_FEATURES, LabelingResult
 from .errors import EmptySeries, MalformedRow, MissingWindow
-from .tree import presort
 
 PERSONAL_FEATURES = ("age", "bmi", "role", "pi", "play_time", "games")
 
@@ -45,8 +44,6 @@ class TrainingTable:
     player_ids: list
     dates: list  # datetime.date or None for synthetic rows
     synthetic: np.ndarray = None  # (n,) bool
-    # (X it was computed from, its sorted_rows()); never copied by dataclasses.replace
-    _order: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
@@ -68,30 +65,11 @@ class TrainingTable:
     def column(self, name: str) -> np.ndarray:
         return self.X[:, self.feature_names.index(name)]
 
-    def sorted_rows(self) -> np.ndarray:
-        """Row indices sorting each column, ties in row order, as a read-only (p, n)
-        matrix; computed once and shared by every tree fit on this table.
-
-        The first call replaces X by a read-only copy (an array the caller passed
-        in stays writable), so the order cannot go stale.
-        """
-        if self._order is None or self._order[0] is not self.X:
-            X = self.X.copy(order="K")
-            X.flags.writeable = False
-            order = presort(X)
-            order.flags.writeable = False
-            self.X, self._order = X, (X, order)
-        return self._order[1]
-
     def select_features(self, names) -> "TrainingTable":
-        """Table of the named columns; shares y and row metadata, passes on sorted_rows()."""
+        """Table of the named columns; shares y and row metadata with this one."""
         idx = [self.feature_names.index(n) for n in names]
-        sub = TrainingTable(list(names), self.X[:, idx].copy(), self.y, self.player_ids,
-                            self.dates, self.synthetic)
-        if self._order is not None and self._order[0] is self.X:
-            sub.X.flags.writeable = False
-            sub._order = (sub.X, self._order[1][idx])
-        return sub
+        return TrainingTable(list(names), self.X[:, idx], self.y, self.player_ids,
+                             self.dates, self.synthetic)
 
     def take(self, indices) -> "TrainingTable":
         indices = np.asarray(indices)

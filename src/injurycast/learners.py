@@ -7,7 +7,7 @@ import numpy as np
 
 from .errors import EmptyTable, NonConvergence
 from .metrics import ConfusionMatrix, metrics, stratified_kfold
-from .tree import TreeHyperParams, _grow, fit_tree
+from .tree import Presorted, TreeHyperParams, _grow, fit_tree
 
 
 def default_grid():
@@ -108,21 +108,16 @@ def fit_logit(table, l2: float = 1e-3, max_iter: int = 5000, tol: float = 1e-6,
 
 
 def _cv_folds(table, folds, seed):
-    """Seeded stratified k-fold of `table` as (train, test) table pairs. A search
-    builds them once, so each training table is sorted once for all its fits."""
-    return [(table.take(train_idx), table.take(test_idx))
+    """Seeded stratified k-fold of `table` as (train, test) pairs: the training
+    rows presorted (tree.Presorted) and the test rows a table. A search builds
+    them once, so each training side is sorted once for all its fits."""
+    return [(Presorted(table.take(train_idx)), table.take(test_idx))
             for train_idx, test_idx in stratified_kfold(table.y, folds, seed)]
 
 
 def _injury_f1(model, test):
     pred, _ = model.predict(test.X)
     return metrics(ConfusionMatrix.from_predictions(test.y, pred))["injury"]["f1"]
-
-
-def _cv_injury_f1(cv, hp, seed):
-    """Mean injury-class F1 of trees fitted and scored on the (train, test) pairs."""
-    return float(np.mean([_injury_f1(fit_tree(train, hp=hp, seed=seed), test)
-                          for train, test in cv]))
 
 
 def tune(table, grid=None, folds: int = 2, seed: int = 0) -> TreeHyperParams:
@@ -136,7 +131,8 @@ def tune(table, grid=None, folds: int = 2, seed: int = 0) -> TreeHyperParams:
     cv = _cv_folds(table, folds, seed)
     best_hp, best_key = None, None
     for hp in grid:
-        score = _cv_injury_f1(cv, hp, seed)
+        score = float(np.mean([_injury_f1(_grow(train, hp, seed), test)
+                               for train, test in cv]))
         depth = hp.max_depth if hp.max_depth is not None else np.inf
         key = (-score, depth, -hp.min_samples_leaf)
         if best_key is None or key < best_key:
@@ -167,31 +163,29 @@ def rfecv(table, hp: TreeHyperParams = TreeHyperParams(max_depth=5),
     cannot change; the models are the ones fit_tree would give.
     """
     cv = _cv_folds(table, folds, seed)
-    current = list(table.feature_names)
-    sub = table
+    data = Presorted(table)
     fold_models = [None] * len(cv)
     model = None
     dropped = -1
     trace = {}
     subsets = {}
     while True:
+        names = data.feature_names
         fold_models = [_grow(train, hp=hp, seed=seed, prev=prev, dropped=dropped)
                        for (train, _), prev in zip(cv, fold_models)]
-        trace[len(current)] = float(np.mean([_injury_f1(m, test)
-                                             for m, (_, test) in zip(fold_models, cv)]))
-        subsets[len(current)] = list(current)
-        if len(current) == 1:
+        trace[len(names)] = float(np.mean([_injury_f1(m, test)
+                                           for m, (_, test) in zip(fold_models, cv)]))
+        subsets[len(names)] = names
+        if len(names) == 1:
             break
-        model = _grow(sub, hp=hp, seed=seed, prev=model, dropped=dropped)
+        model = _grow(data, hp=hp, seed=seed, prev=model, dropped=dropped)
         imp = model.importances()
         # drop the least important feature; unused features rank lowest,
         # ties resolved by column order
-        drop = min(current, key=lambda n: (imp.get(n, 0.0), current.index(n)))
-        dropped = current.index(drop)
-        current.remove(drop)
-        # narrowing keeps each table's sorted order: nothing is sorted again
-        sub = sub.select_features(current)
-        cv = [(train.select_features(current), test.select_features(current))
+        dropped = min(range(len(names)), key=lambda i: (imp.get(names[i], 0.0), i))
+        # narrowing keeps each column's sorted order: nothing is sorted again
+        data = data.drop(dropped)
+        cv = [(train.drop(dropped), test.select_features(data.feature_names))
               for train, test in cv]
     best_size = min(trace, key=lambda s: (-trace[s], s))
     return FeatureSubset(subsets[best_size], trace)

@@ -2,12 +2,13 @@
 (SLIQ-style attribute lists) with a vectorised all-feature split search."""
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyNode, EmptyTable, MissingFeature
+from .errors import ConfigInvalid, EmptyNode, EmptyTable, MissingFeature
 
 
 @dataclass(frozen=True)
@@ -129,15 +130,20 @@ class DecisionTreeModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecisionTreeModel":
-        model = cls(data["feature_names"], TreeHyperParams(**data["hyperparams"]))
-        nodes = data["nodes"]
-        model.feature = np.asarray(nodes["feature"], dtype=int)
-        model.threshold = np.asarray(nodes["threshold"], dtype=float)
-        model.left = np.asarray(nodes["left"], dtype=int)
-        model.right = np.asarray(nodes["right"], dtype=int)
-        model.counts = np.asarray(nodes["counts"], dtype=int)
-        raw = data.get("raw_importance")
-        model._raw_importance = np.asarray(raw, dtype=float) if raw is not None else None
+        """Inverse of to_dict; a missing field or a value of the wrong kind raises
+        ConfigInvalid."""
+        try:
+            model = cls(data["feature_names"], TreeHyperParams(**data["hyperparams"]))
+            nodes = data["nodes"]
+            model.feature = np.asarray(nodes["feature"], dtype=int)
+            model.threshold = np.asarray(nodes["threshold"], dtype=float)
+            model.left = np.asarray(nodes["left"], dtype=int)
+            model.right = np.asarray(nodes["right"], dtype=int)
+            model.counts = np.asarray(nodes["counts"], dtype=int)
+            raw = data.get("raw_importance")
+            model._raw_importance = np.asarray(raw, dtype=float) if raw is not None else None
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigInvalid(f"not a model JSON ({exc!r})") from None
         return model
 
     @classmethod
@@ -145,10 +151,39 @@ class DecisionTreeModel:
         return cls.from_dict(json.loads(text))
 
 
-def presort(X) -> np.ndarray:
-    """(p, n) matrix whose row f lists the row indices of X in ascending order of
-    column f, ties in row order."""
-    return np.argsort(X.T, axis=1, kind="stable")
+class Presorted:
+    """A training set as the tree grows from it: the columns as a C-ordered (p, n)
+    matrix `cols`, each column's row indices in ascending order, ties in row order
+    (`rows`, SLIQ's presorted attribute lists), the labels `y` and the column
+    names. Sorted once; every fit on these rows shares it and none changes it.
+    """
+
+    def __init__(self, table_or_X, y=None, feature_names=None):
+        """From a TrainingTable or from (X, y, feature_names) arrays."""
+        if y is None:
+            X, y, feature_names = table_or_X.X, table_or_X.y, table_or_X.feature_names
+        else:
+            X = np.asarray(table_or_X, dtype=float)
+            y = np.asarray(y, dtype=int)
+            if feature_names is None:
+                feature_names = [f"f{i}" for i in range(X.shape[1])]
+        if len(y) == 0:
+            raise EmptyTable("cannot fit a tree on an empty table")
+        if X.shape[1] == 0:
+            raise EmptyTable("cannot fit a tree with no features")
+        self.cols = np.ascontiguousarray(X.T)
+        self.rows = np.argsort(self.cols, axis=1, kind="stable")
+        self.y = y
+        self.feature_names = list(feature_names)
+
+    def drop(self, j) -> "Presorted":
+        """The same rows without column j, sorted as before: the next size of a
+        recursive feature elimination, one copy of the remaining columns."""
+        out = copy.copy(self)
+        out.cols = np.delete(self.cols, j, axis=0)
+        out.rows = np.delete(self.rows, j, axis=0)
+        out.feature_names = self.feature_names[:j] + self.feature_names[j + 1:]
+        return out
 
 
 def _best_split(sv, sy, min_leaf):
@@ -192,60 +227,43 @@ def fit_tree(table_or_X, y=None, feature_names=None,
              max_features: int | None = None) -> DecisionTreeModel:
     """Greedy CART fit maximizing size-weighted Gini decrease at every node.
 
-    Accepts either a TrainingTable or (X, y, feature_names) arrays. The seed
-    only breaks exact-gain ties, via a seeded permutation of the feature
-    evaluation order; max_features enables per-node feature subsampling for
-    random forests.
+    Accepts either a TrainingTable or (X, y, feature_names) arrays, and leaves
+    them as they are. The seed only breaks exact-gain ties, via a seeded
+    permutation of the feature evaluation order; max_features enables per-node
+    feature subsampling for random forests.
 
-    Each column is sorted once per fit, or once per table when given a
-    TrainingTable (TrainingTable.sorted_rows). A node searches all candidate
-    features in one vectorised pass and hands its children a stable filter of
-    its sorted rows. Nodes grow from an explicit stack in preorder, so depth
-    is not bounded by the recursion limit.
+    Each column is sorted once per fit (Presorted); a search that fits many
+    trees on the same rows builds one Presorted and calls _grow. A node searches
+    all candidate features in one vectorised pass and hands its children a
+    stable filter of its sorted rows. Nodes grow from an explicit stack in
+    preorder, so depth is not bounded by the recursion limit.
     """
-    return _grow(table_or_X, y, feature_names, hp, seed, max_features)
+    return _grow(Presorted(table_or_X, y, feature_names), hp, seed, max_features)
 
 
-def _grow(table_or_X, y=None, feature_names=None, hp: TreeHyperParams = TreeHyperParams(),
-          seed: int = 0, max_features: int | None = None,
-          prev: DecisionTreeModel | None = None, dropped: int = -1) -> DecisionTreeModel:
+def _grow(data: Presorted, hp: TreeHyperParams = TreeHyperParams(), seed: int = 0,
+          max_features: int | None = None, prev: DecisionTreeModel | None = None,
+          dropped: int = -1) -> DecisionTreeModel:
     """fit_tree's grow loop. Given prev, a tree fitted with the same rows, hp and
     seed on these columns plus one more at index dropped, it returns the model
     fit_tree would, byte for byte, and searches only the nodes that the dropped
     column can change (recursive feature elimination refits this way)."""
-    if y is None:
-        table = table_or_X
-        X = table.X
-        y = table.y
-        feature_names = table.feature_names
-    else:
-        table = None
-        X = np.asarray(table_or_X, dtype=float)
-        y = np.asarray(y, dtype=int)
-        if feature_names is None:
-            feature_names = [f"f{i}" for i in range(X.shape[1])]
-    if len(y) == 0:
-        raise EmptyTable("cannot fit a tree on an empty table")
-    if X.shape[1] == 0:
-        raise EmptyTable("cannot fit a tree with no features")
     if prev is not None and max_features is not None:
         raise ValueError("a refit from a previous tree cannot subsample features")
+    cols, y = data.cols, data.y
+    p, n_total = cols.shape
 
     rng = np.random.default_rng(seed)
-    p = X.shape[1]
     feature_order = rng.permutation(p)
     rank = np.empty(p, dtype=int)  # position of each feature in feature_order
     rank[feature_order] = np.arange(p)
 
-    model = DecisionTreeModel(feature_names, hp)
+    model = DecisionTreeModel(data.feature_names, hp)
     raw_importance = np.zeros(p)
-    n_total = len(y)
     goes_left = np.zeros(n_total, dtype=bool)  # reused: a split reads only its own rows
-    cols = np.ascontiguousarray(X.T)
     offsets = np.arange(p)[:, None] * n_total  # rows[f] + offsets[f] index cols.ravel()
-    root = table.sorted_rows() if table is not None else presort(X)
     # (sorted rows, depth, parent, parent's link, prev's node with these rows or -1)
-    stack = [(root, 0, -1, model.left, 0 if prev is not None else -1)]
+    stack = [(data.rows, 0, -1, model.left, 0 if prev is not None else -1)]
     while stack:
         rows, depth, parent, link, old = stack.pop()
         ones = y.take(rows[0])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from injurycast.cli import cli_main
+from injurycast.data_model import INJURIES_HEADER, PLAYERS_HEADER, SESSIONS_HEADER
 from injurycast.features import TrainingTable
 from injurycast.tree import fit_tree
 
@@ -47,6 +48,65 @@ class TestExitCodes:
                    "--players", str(bad))
         assert code == 1
         assert "header" in capsys.readouterr().err
+
+
+SESSIONS = ",".join(SESSIONS_HEADER) + "\n"
+INJURIES = ",".join(INJURIES_HEADER) + "\n"
+PLAYERS = ",".join(PLAYERS_HEADER) + "\n"
+SESSION = "P1,2014-01-06," + ",".join(["1.0"] * 12) + ",0,0\n"
+GOOD_FILES = {"sessions.csv": SESSIONS + SESSION, "injuries.csv": INJURIES,
+              "players.csv": PLAYERS + "P1,25,180,75,Winger\n"}
+SEASON = ["--sessions", "sessions.csv", "--injuries", "injuries.csv",
+          "--players", "players.csv"]
+# argv (files named by their .csv/.json name), files replacing GOOD_FILES,
+# exit code, a piece of the message
+BAD_INPUTS = {
+    "age-0": (["ingest", *SEASON], {"players.csv": PLAYERS + "P1,0,180,75,Winger\n"},
+              1, "players.csv:2 column 'age'"),
+    "height-negative": (["featurize", *SEASON, "--out", "t.csv"],
+                        {"players.csv": PLAYERS + "P1,25,-1,75,Winger\n"},
+                        1, "players.csv:2 column 'height_cm'"),
+    "mass-0": (["simulate", *SEASON, "--seed", "0", "--out", "o.csv"],
+               {"players.csv": PLAYERS + "P1,25,180,0,Winger\n"},
+               1, "players.csv:2 column 'mass_kg'"),
+    "workload-nan": (["featurize", *SEASON, "--out", "t.csv"],
+                     {"sessions.csv": SESSIONS + SESSION.replace("1.0", "nan", 1)},
+                     1, "sessions.csv:2 column 'd_tot'"),
+    "days-absent-0": (["ingest", *SEASON], {"injuries.csv": INJURIES + "P1,2014-01-07,0\n"},
+                      1, "injuries.csv:2 column 'days_absent'"),
+    "same-onset": (["ingest", *SEASON],
+                   {"injuries.csv": INJURIES + "P1,2014-01-07,2\nP1,2014-01-07,3\n"},
+                   1, "injuries.csv:3 column 'onset_date'"),
+    "horizon-0-ingest": (["ingest", *SEASON, "--horizon", "0"], {}, 2, "--horizon"),
+    "horizon-0-featurize": (["featurize", *SEASON, "--horizon", "0", "--out", "t.csv"], {},
+                            2, "--horizon"),
+    "salary-text": (["simulate", *SEASON, "--seed", "0", "--salary", "abc", "--out", "o.csv"],
+                    {}, 2, "--salary"),
+    "salary-negative": (["simulate", *SEASON, "--seed", "0", "--salary", "-5",
+                         "--out", "o.csv"], {}, 2, "--salary"),
+    "generate-seed-negative": (["generate", "--seed", "-1", *SEASON], {}, 2, "--seed"),
+    "train-seed-negative": (["train", "--table", "t.csv", "--seed", "-1", "--out", "m.json"],
+                            {}, 2, "--seed"),
+    "config-unknown-key": (["generate", "--seed", "0", "--config", "c.json", *SEASON],
+                           {"c.json": '{"n_playerz": 3}'}, 1, "n_playerz"),
+    "config-not-an-object": (["generate", "--seed", "0", "--config", "c.json", *SEASON],
+                             {"c.json": "[1, 2]"}, 1, "object"),
+    "model-without-feature-names": (["rules", "--model", "m.json"],
+                                    {"m.json": '{"hyperparams": {}, "nodes": {}}'},
+                                    1, "feature_names"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_value_is_one_line_error(tmp_path, capsys, case):
+    argv, files, code, fragment = BAD_INPUTS[case]
+    for name, text in {**GOOD_FILES, **files}.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a.endswith((".csv", ".json")) else a for a in argv]
+    assert run(*argv) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "error: " in err and fragment in err
 
 
 class TestGenerateIngest:

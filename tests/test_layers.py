@@ -1,0 +1,48 @@
+"""The data layer imports nothing from the layers built on it.
+
+data_model and features describe seasons and feature tables; the tree, the
+learners, resampling, the pipeline and the walk-forward use them. An import the
+other way lets a table learn how a tree reads it, so this parses the two modules
+and fails on such an import.
+"""
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).parent.parent / "src" / "injurycast"
+UPPER_LAYERS = {"tree", "learners", "resampling", "pipeline", "simulate"}
+
+
+def package_modules_imported(path):
+    """Names of the injurycast modules that a source file imports from."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            parts = [a.name.split(".") for a in node.names]
+            found |= {p[1] for p in parts if p[0] == "injurycast" and len(p) > 1}
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "injurycast":
+                    continue
+                parts = parts[1:]
+            # `from . import tree` and `from injurycast import tree` name the module
+            found |= {parts[0]} if parts and parts[0] else {a.name for a in node.names}
+    return found
+
+
+@pytest.mark.parametrize("name", ["data_model", "features"])
+def test_data_layer_imports_no_upper_layer(name):
+    path = SRC / f"{name}.py"
+    assert path.exists()
+    upward = package_modules_imported(path) & UPPER_LAYERS
+    assert not upward, f"{name}.py imports from {sorted(upward)}"
+
+
+def test_the_check_sees_each_import_form(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("import injurycast.tree\nfrom .learners import rfecv\n"
+                    "from . import pipeline\nfrom injurycast import simulate\n"
+                    "from injurycast.resampling import adasyn\nimport numpy\n")
+    assert package_modules_imported(path) == UPPER_LAYERS

@@ -6,8 +6,7 @@ from injurycast.features import TrainingTable
 from injurycast.learners import (
     FeatureSubset,
     LinearModel,
-    _cv_folds,
-    _cv_injury_f1,
+    _injury_f1,
     default_grid,
     fit_forest,
     fit_logit,
@@ -16,6 +15,7 @@ from injurycast.learners import (
     rfecv,
     tune,
 )
+from injurycast.metrics import stratified_kfold
 from injurycast.resampling import ResamplingConfig, adasyn
 from injurycast.tree import TreeHyperParams
 
@@ -28,15 +28,17 @@ def table_from(X, y, names=None):
 
 
 def reference_rfecv(table, hp=TreeHyperParams(max_depth=5), folds=3, seed=0):
-    """rfecv with every tree fitted from scratch by fit_tree; rfecv's chained
-    refits must reproduce its subset and score trace exactly."""
-    cv = _cv_folds(table, folds, seed)
+    """rfecv with every tree fitted from scratch by fit_tree on table folds; rfecv's
+    chained refits must reproduce its subset and score trace exactly."""
+    cv = [(table.take(train_idx), table.take(test_idx))
+          for train_idx, test_idx in stratified_kfold(table.y, folds, seed)]
     current = list(table.feature_names)
     sub = table
     trace = {}
     subsets = {}
     while True:
-        trace[len(current)] = _cv_injury_f1(cv, hp, seed)
+        trace[len(current)] = float(np.mean([
+            _injury_f1(fit_tree(train, hp=hp, seed=seed), test) for train, test in cv]))
         subsets[len(current)] = list(current)
         if len(current) == 1:
             break

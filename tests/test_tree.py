@@ -10,7 +10,8 @@ from injurycast.features import build_training_table
 from injurycast.generator import GeneratorConfig, generate
 from injurycast.learners import default_grid
 from injurycast.resampling import ResamplingConfig, adasyn
-from injurycast.tree import DecisionTreeModel, TreeHyperParams, _grow, fit_tree, gini
+from injurycast.tree import (DecisionTreeModel, Presorted, TreeHyperParams, _grow, fit_tree,
+                             gini)
 
 from conftest import planted_table, rand_table
 
@@ -336,6 +337,27 @@ class TestMatchesReferenceFitter:
         np.testing.assert_array_equal(pred, y)
 
 
+class TestPresorted:
+    def test_order_is_stable_argsort_of_each_column(self):
+        t = rand_table(n=30, p=3, n_pos=9, seed=3)
+        t.X[::3, 1] = 0.5  # ties must stay in row order
+        rows = Presorted(t).rows
+        for f in range(3):
+            np.testing.assert_array_equal(rows[f], np.argsort(t.X[:, f], kind="stable"))
+
+    @pytest.mark.parametrize("j", [0, 2, 4])
+    def test_drop_equals_a_fresh_value_without_the_column(self, j):
+        X = np.random.default_rng(4).integers(0, 5, size=(50, 5)).astype(float)
+        y = (np.arange(50) % 3 == 0).astype(int)
+        names = [f"c{i}" for i in range(5)]
+        got = Presorted(X, y, names).drop(j)
+        want = Presorted(np.delete(X, j, axis=1), y, names[:j] + names[j + 1:])
+        assert got.cols.flags.c_contiguous
+        np.testing.assert_array_equal(got.cols, want.cols)
+        np.testing.assert_array_equal(got.rows, want.rows)
+        assert got.feature_names == want.feature_names
+
+
 def _next_drop(model, step, rng):
     """Column to drop after `model`: in turn a split's winner, a tie-set member that
     did not win its node, and any column, so both of _grow's branches run."""
@@ -371,16 +393,18 @@ class TestChainedRefit:
         rng = np.random.default_rng(0)
         t = season_table
         names = list(t.feature_names)
-        model = _grow(t, hp=hp, seed=3)
+        data = Presorted(t)
+        model = _grow(data, hp=hp, seed=3)
         assert model.to_json() == fit_tree(t, hp=hp, seed=3).to_json()
         kinds = set()
         for step in range(len(names) - 1):
             dropped = _next_drop(model, step, rng)
             kinds.add(_drop_kind(model, dropped))
             names.pop(dropped)
-            t = t.select_features(names)
-            model = _grow(t, hp=hp, seed=3, prev=model, dropped=dropped)
-            assert model.to_json() == fit_tree(t, hp=hp, seed=3).to_json(), len(names)
+            data = data.drop(dropped)
+            model = _grow(data, hp=hp, seed=3, prev=model, dropped=dropped)
+            want = fit_tree(t.select_features(names), hp=hp, seed=3)
+            assert model.to_json() == want.to_json(), len(names)
         assert kinds == {"winner", "tie", "unused"}
 
     def test_tie_heavy_tables_with_duplicate_rows(self):
@@ -398,13 +422,14 @@ class TestChainedRefit:
                                  min_samples_leaf=int(rng.integers(1, 4)),
                                  min_samples_split=int(rng.integers(1, 6)))
             names = [f"f{i}" for i in range(p)]
-            model = _grow(X, y, names, hp=hp, seed=trial)
+            model = _grow(Presorted(X, y, names), hp=hp, seed=trial)
             for step in range(p - 1):
                 dropped = _next_drop(model, step, rng)
                 kinds.add(_drop_kind(model, dropped))
                 X = np.delete(X, dropped, axis=1)
                 names.pop(dropped)
-                model = _grow(X, y, names, hp=hp, seed=trial, prev=model, dropped=dropped)
+                model = _grow(Presorted(X, y, names), hp=hp, seed=trial, prev=model,
+                              dropped=dropped)
                 want = fit_tree(X, y, names, hp=hp, seed=trial)
                 assert model.to_json() == want.to_json(), (trial, step)
         assert kinds == {"winner", "tie", "unused"}
@@ -413,8 +438,8 @@ class TestChainedRefit:
         # the dropped column is unused and no tie set holds it: nothing is searched
         X = np.array([[0.0, 5.0], [1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
         y = np.array([0, 0, 1, 1])
-        prev = _grow(X, y, ["x", "flat"])
-        model = _grow(X[:, :1], y, ["x"], prev=prev, dropped=1)
+        prev = _grow(Presorted(X, y, ["x", "flat"]))
+        model = _grow(Presorted(X[:, :1], y, ["x"]), prev=prev, dropped=1)
         assert model.to_json() == fit_tree(X[:, :1], y, ["x"]).to_json()
         assert model.threshold[0] == 1.5
         assert list(model._ties[0]) == [0]
@@ -422,6 +447,6 @@ class TestChainedRefit:
     def test_refit_cannot_subsample_features(self):
         X = np.arange(8, dtype=float).reshape(4, 2)
         y = np.array([0, 1, 0, 1])
-        prev = _grow(X, y)
+        prev = _grow(Presorted(X, y))
         with pytest.raises(ValueError):
-            _grow(X[:, :1], y, prev=prev, dropped=1, max_features=1)
+            _grow(Presorted(X[:, :1], y), prev=prev, dropped=1, max_features=1)
