@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="walk-forward weekly retraining")
     _add_season_inputs(p)
     p.add_argument("--seed", type=_at_least(0), required=True)
-    p.add_argument("--start-week", type=int, default=6)
+    p.add_argument("--start-week", type=_at_least(1), default=6)
     p.add_argument("--salary", type=_at_least(0, Decimal), default="83",
                    help="daily salary for cost report")
     p.add_argument("--out", required=True, help="weekly outcome CSV")
@@ -233,7 +233,7 @@ def cli_main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (InjurycastError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (InjurycastError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baselines import Combine, MonoMethod, baseline_predict, mono_forecast
+from .baselines import Combine, baseline_predict, mono_forecast
 from .errors import NonConvergence, OneClassOnly, SyntheticEvaluation
 from .learners import fit_forest, fit_logit, rfecv, tune
 from .metrics import (
@@ -59,14 +59,12 @@ def _evaluate(table, cfg: PipelineConfig, forecast):
     runs = {}
     for f, (fit_idx, eval_idx) in enumerate(
             stratified_kfold(t_test.y, EVAL_FOLDS, cfg.seed + 1)):
-        raw_train = t_test.take(fit_idx)
         fold_eval = t_test.take(eval_idx)
         if fold_eval.synthetic.any():
             raise SyntheticEvaluation(f"evaluation fold {f} holds synthetic rows; "
                                       "a table to evaluate must be observed sessions only")
-        fold_train = _oversampled(raw_train, cfg.seed + 100 + f)
-        for name, pred, score in forecast(cfg, f, raw_train, fold_train, fold_eval,
-                                          names, hp):
+        fold_train = _oversampled(t_test.take(fit_idx), cfg.seed + 100 + f)
+        for name, pred, score in forecast(cfg, f, fold_train, fold_eval, names, hp):
             runs.setdefault(name, []).append((pred, score, fold_eval.y))
     pooled = {}
     for name, folds in runs.items():
@@ -75,7 +73,7 @@ def _evaluate(table, cfg: PipelineConfig, forecast):
     return {"train": len(t_train), "test": len(t_test)}, names, hp, pooled
 
 
-def _tree_forecast(cfg, f, raw_train, train, test, names, hp):
+def _tree_forecast(cfg, f, train, test, names, hp):
     model = fit_tree(train.select_features(names), hp=hp, seed=cfg.seed)
     yield "DT", *model.predict(test.select_features(names).X)
 
@@ -99,8 +97,8 @@ def compare_forecasters(table, cfg: PipelineConfig = PipelineConfig(),
                         n_forest_trees: int = 50) -> dict:
     """Evaluate DT, RF, LR, the four baselines and the combined ACWR forecasters
     under the same split/fold protocol; returns forecaster name -> EvalReport."""
-    def forecast(cfg, f, raw_train, train, test, names, hp):
-        yield from _tree_forecast(cfg, f, raw_train, train, test, names, hp)
+    def forecast(cfg, f, train, test, names, hp):
+        yield from _tree_forecast(cfg, f, train, test, names, hp)
         x_train, x_test = train.select_features(names), test.select_features(names)
         forest = fit_forest(x_train, n_forest_trees, hp=hp, seed=cfg.seed)
         yield "RF", *forest.predict(x_test.X)
@@ -116,8 +114,7 @@ def compare_forecasters(table, cfg: PipelineConfig = PipelineConfig(),
             yield kind, pred, pred.astype(float)
         for combine, name in ((Combine.VOTE, "C_vote"), (Combine.ALL, "C_all"),
                               (Combine.ONE, "C_one")):
-            pred = mono_forecast(test, method=MonoMethod.ACWR_MURRAY,
-                                 combine=combine, train_table=raw_train)
+            pred = mono_forecast(test, combine)
             yield name, pred, pred.astype(float)
 
     _, names, hp, runs = _evaluate(table, cfg, forecast)
@@ -162,39 +159,3 @@ def render_comparison(reports: dict, fmt: str = "text") -> str:
                      f'{r["recall"]:>8.2f}{r["f1"]:>8.2f}'
                      + (f'{r["auc"]:>8.2f}' if r["auc"] != "" else f'{"":>8}'))
     return "\n".join(lines) + "\n"
-
-
-@dataclass
-class TrialDistribution:
-    values: dict  # metric name -> list of per-trial values
-    n: int
-
-    def mean(self, name: str) -> float:
-        return float(np.mean(self.values[name]))
-
-    def std(self, name: str) -> float:
-        return float(np.std(self.values[name]))
-
-    def to_dict(self) -> dict:
-        return {"n": self.n,
-                "metrics": {k: {"mean": self.mean(k), "std": self.std(k),
-                                "values": list(v)}
-                            for k, v in self.values.items()}}
-
-
-def repeat_trials(table, cfg: PipelineConfig, n: int, base_seed: int = 0) -> TrialDistribution:
-    """Run the pipeline n times with derived seeds and collect metric distributions.
-
-    Seeds derive from (base_seed, trial index) only, so the result does not
-    depend on execution order.
-    """
-    values = {k: [] for k in ("injury_precision", "injury_recall", "injury_f1", "auc")}
-    for i in range(n):
-        seed = int(np.random.SeedSequence([base_seed, i]).generate_state(1)[0] % (2 ** 31))
-        report = run_pipeline(table, replace(cfg, seed=seed))
-        inj = report.per_class["injury"]
-        values["injury_precision"].append(inj["precision"])
-        values["injury_recall"].append(inj["recall"])
-        values["injury_f1"].append(inj["f1"])
-        values["auc"].append(report.auc)
-    return TrialDistribution(values, n)

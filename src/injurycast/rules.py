@@ -45,14 +45,6 @@ class InjuryRule:
                 "frequency": self.frequency,
                 "accuracy": self.accuracy}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "InjuryRule":
-        conds = [RuleCondition(c["feature"],
-                               -math.inf if c["lo"] is None else c["lo"],
-                               math.inf if c["hi"] is None else c["hi"])
-                 for c in data["conditions"]]
-        return cls(conds, data["leaf_id"], data.get("frequency"), data.get("accuracy"))
-
 
 def extract_rules(model: DecisionTreeModel) -> list:
     """One rule per injury-class leaf; repeated features along the path collapse
@@ -115,7 +107,3 @@ def render_handbook(rules: list, fmt: str = "text") -> str:
         lines.append(f"  frequency: {freq}   accuracy: {acc}")
         lines.append("")
     return "\n".join(lines)
-
-
-def load_handbook(text: str) -> list:
-    return [InjuryRule.from_dict(d) for d in json.loads(text)["rules"]]

@@ -97,6 +97,8 @@ def walk_forward(log: SeasonLog, cfg: PipelineConfig = PipelineConfig(),
     Weeks with fewer than two injury examples are flagged degenerate and
     predict all-0. Returns one WeeklyOutcome per forecast week.
     """
+    if start_week < 1:
+        raise ValueError(f"start_week must be >= 1, got {start_week}")
     start = season_start(log)
     last_date = max(s.date for seq in log.sessions.values() for s in seq)
     n_weeks = week_of(last_date, start)

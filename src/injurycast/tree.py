@@ -130,8 +130,8 @@ class DecisionTreeModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecisionTreeModel":
-        """Inverse of to_dict; a missing field or a value of the wrong kind raises
-        ConfigInvalid."""
+        """Inverse of to_dict; a missing field, a value of the wrong kind or node
+        arrays that are not one tree over the named features raise ConfigInvalid."""
         try:
             model = cls(data["feature_names"], TreeHyperParams(**data["hyperparams"]))
             nodes = data["nodes"]
@@ -144,6 +144,28 @@ class DecisionTreeModel:
             model._raw_importance = np.asarray(raw, dtype=float) if raw is not None else None
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigInvalid(f"not a model JSON ({exc!r})") from None
+        feature, left, right, counts = model.feature, model.left, model.right, model.counts
+        n, p = (len(feature) if feature.ndim == 1 else 0), len(model.feature_names)
+        if n < 1 or any(a.shape != (n,) for a in (model.threshold, left, right)):
+            raise ConfigInvalid("model nodes: the node arrays need one shared length >= 1")
+        if counts.shape != (n, 2) or (counts < 0).any() or (counts.sum(axis=1) < 1).any():
+            raise ConfigInvalid("model nodes: counts need one non-negative pair with a "
+                                "positive total per node")
+        if ((feature < -1) | (feature >= p)).any():
+            raise ConfigInvalid(f"model nodes: a feature index is outside [-1, {p})")
+        leaf = feature < 0
+        if (left[leaf] != -1).any() or (right[leaf] != -1).any():
+            raise ConfigInvalid("model nodes: a leaf has a child")
+        # parent < child keeps routing acyclic; one parent each makes it a tree
+        split = np.flatnonzero(~leaf)
+        children = np.concatenate([left[split], right[split]])
+        if ((children <= np.tile(split, 2)).any()
+                or not np.array_equal(np.sort(children), np.arange(1, n))):
+            raise ConfigInvalid("model nodes: children need parent < child < n and "
+                                "every node but the root exactly one parent")
+        raw = model._raw_importance
+        if raw is not None and raw.shape != (p,):
+            raise ConfigInvalid(f"model raw_importance: need null or {p} values")
         return model
 
     @classmethod

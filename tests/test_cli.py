@@ -58,6 +58,16 @@ GOOD_FILES = {"sessions.csv": SESSIONS + SESSION, "injuries.csv": INJURIES,
               "players.csv": PLAYERS + "P1,25,180,75,Winger\n"}
 SEASON = ["--sessions", "sessions.csv", "--injuries", "injuries.csv",
           "--players", "players.csv"]
+
+
+def model_json(raw_importance=None, **nodes):
+    """A consistent one-split model over one feature, with `nodes` arrays replaced."""
+    base = {"feature": [0, -1, -1], "threshold": [1.0, 0.0, 0.0], "left": [1, -1, -1],
+            "right": [2, -1, -1], "counts": [[2, 2], [2, 0], [0, 2]]}
+    return json.dumps({"feature_names": ["x"], "hyperparams": {},
+                       "nodes": {**base, **nodes}, "raw_importance": raw_importance})
+
+
 # argv (files named by their .csv/.json name), files replacing GOOD_FILES,
 # exit code, a piece of the message
 BAD_INPUTS = {
@@ -94,19 +104,79 @@ BAD_INPUTS = {
     "model-without-feature-names": (["rules", "--model", "m.json"],
                                     {"m.json": '{"hyperparams": {}, "nodes": {}}'},
                                     1, "feature_names"),
+    "model-no-nodes": (["rules", "--model", "m.json"],
+                       {"m.json": model_json(feature=[], threshold=[], left=[], right=[],
+                                             counts=[])}, 1, "shared length"),
+    "model-ragged-arrays": (["rules", "--model", "m.json"],
+                            {"m.json": model_json(threshold=[1.0])}, 1, "shared length"),
+    "model-feature-out-of-range": (["rules", "--model", "m.json"],
+                                   {"m.json": model_json(feature=[3, -1, -1])},
+                                   1, "feature index"),
+    "model-leaf-with-child": (["rules", "--model", "m.json"],
+                              {"m.json": model_json(left=[1, 2, -1])}, 1, "leaf has a child"),
+    "model-child-past-end": (["rules", "--model", "m.json"],
+                             {"m.json": model_json(left=[5, -1, -1])}, 1, "parent < child"),
+    "model-child-is-ancestor": (["rules", "--model", "m.json"],
+                                {"m.json": model_json(left=[0, -1, -1])}, 1, "parent < child"),
+    "model-shared-child": (["rules", "--model", "m.json"],
+                           {"m.json": model_json(right=[1, -1, -1])}, 1, "exactly one parent"),
+    "model-counts-negative": (["rules", "--model", "m.json"],
+                              {"m.json": model_json(counts=[[2, 2], [-1, 0], [0, 2]])},
+                              1, "counts"),
+    "model-counts-empty-node": (["rules", "--model", "m.json"],
+                                {"m.json": model_json(counts=[[2, 2], [0, 0], [0, 2]])},
+                                1, "counts"),
+    "model-counts-not-pairs": (["rules", "--model", "m.json"],
+                               {"m.json": model_json(counts=[2, 2, 0])}, 1, "counts"),
+    "model-raw-importance-length": (["rules", "--model", "m.json"],
+                                    {"m.json": model_json(raw_importance=[0.5, 0.5])},
+                                    1, "raw_importance"),
+    "start-week-0": (["simulate", *SEASON, "--seed", "0", "--start-week", "0",
+                      "--out", "o.csv"], {}, 2, "--start-week"),
 }
+
+
+def in_dir(root, argv, files=None):
+    """Write GOOD_FILES, `files` replacing some, under root; return argv with its
+    file names (ending .csv or .json, or "dir") as paths there."""
+    for name, text in {**GOOD_FILES, **(files or {})}.items():
+        (root / name).write_text(text)
+    return [str(root / a) if a.endswith((".csv", ".json")) or a == "dir" else a
+            for a in argv]
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
 def test_bad_value_is_one_line_error(tmp_path, capsys, case):
     argv, files, code, fragment = BAD_INPUTS[case]
-    for name, text in {**GOOD_FILES, **files}.items():
-        (tmp_path / name).write_text(text)
-    argv = [str(tmp_path / a) if a.endswith((".csv", ".json")) else a for a in argv]
-    assert run(*argv) == code
+    assert run(*in_dir(tmp_path, argv, files)) == code
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert "error: " in err and fragment in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--sessions", "dir", "--injuries", "injuries.csv", "--players", "players.csv"],
+    ["ingest", *SEASON, "--out", "dir"],
+])
+def test_directory_path_is_one_line_error(tmp_path, capsys, argv):
+    (tmp_path / "dir").mkdir()
+    assert run(*in_dir(tmp_path, argv)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Is a directory" in err
+
+
+@pytest.mark.parametrize("argv, name, data", [
+    (["ingest", *SEASON], "sessions.csv", (SESSIONS + SESSION).replace("P1", "P\xe9")),
+    (["rules", "--model", "m.json"], "m.json", model_json().replace('"x"', '"\xe9"')),
+], ids=["csv", "model"])
+def test_file_that_is_not_utf8_is_one_line_error(tmp_path, capsys, argv, name, data):
+    argv = in_dir(tmp_path, argv)
+    (tmp_path / name).write_bytes(data.encode("latin-1"))
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "utf-8" in err
 
 
 class TestGenerateIngest:

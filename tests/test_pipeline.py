@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from injurycast.errors import SyntheticEvaluation
@@ -8,7 +7,6 @@ from injurycast.pipeline import (
     compare_forecasters,
     comparison_rows,
     render_comparison,
-    repeat_trials,
     run_pipeline,
 )
 
@@ -56,33 +54,6 @@ class TestRunPipeline:
         r1 = run_pipeline(table, PipelineConfig(seed=1))
         r2 = run_pipeline(table, PipelineConfig(seed=2))
         assert r1.seed != r2.seed  # reports carry their seed for provenance
-
-
-class TestRepeatTrials:
-    def test_order_independent_seeds(self):
-        table = planted_table(n=260, seed=3, noise_features=2)
-        cfg = PipelineConfig(seed=0)
-        dist = repeat_trials(table, cfg, n=2, base_seed=9)
-        again = repeat_trials(table, cfg, n=2, base_seed=9)
-        assert dist.to_dict() == again.to_dict()
-        assert dist.n == 2
-        assert all(len(v) == 2 for v in dist.values.values())
-
-    def test_first_trial_equals_single_run(self):
-        table = planted_table(n=260, seed=3, noise_features=2)
-        cfg = PipelineConfig(seed=0)
-        dist = repeat_trials(table, cfg, n=1, base_seed=4)
-        seed = int(np.random.SeedSequence([4, 0]).generate_state(1)[0] % (2 ** 31))
-        from dataclasses import replace
-        report = run_pipeline(table, replace(cfg, seed=seed))
-        assert dist.values["injury_f1"][0] == report.per_class["injury"]["f1"]
-        assert dist.values["auc"][0] == report.auc
-
-    def test_summary_stats(self):
-        from injurycast.pipeline import TrialDistribution
-        dist = TrialDistribution({"injury_f1": [0.4, 0.6]}, n=2)
-        assert dist.mean("injury_f1") == pytest.approx(0.5)
-        assert dist.std("injury_f1") == pytest.approx(0.1)
 
 
 @pytest.fixture(scope="module")

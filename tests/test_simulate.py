@@ -40,6 +40,12 @@ class TestCalendar:
         with pytest.raises(InsufficientHistory):
             walk_forward(log, start_week=6)
 
+    @pytest.mark.parametrize("start_week", [0, -3])
+    def test_start_week_before_the_first_week(self, small_season, start_week):
+        log, _ = small_season
+        with pytest.raises(ValueError, match="start_week"):
+            walk_forward(log, start_week=start_week)
+
 
 class TestCost:
     def test_exact_decimal_arithmetic(self):
