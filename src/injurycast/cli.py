@@ -10,7 +10,7 @@ import math
 import sys
 from decimal import Decimal
 
-from .data_model import assign_labels, parse_season, write_season_csvs
+from .data_model import assign_labels, open_utf8, parse_season, write_season_csvs
 from .errors import ConfigInvalid, InjurycastError
 from .features import TrainingTable, build_training_table
 from .generator import GeneratorConfig, PlantedRule, generate
@@ -115,7 +115,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_rules(args):
-    with open(args.model) as fh:
+    with open_utf8(args.model) as fh:
         model = DecisionTreeModel.from_json(fh.read())
     rules = extract_rules(model)
     if args.table:
@@ -124,10 +124,37 @@ def _cmd_rules(args):
     return 0
 
 
+def _number(value, kind):
+    """value when JSON gave a number of `kind`: int, or float, which takes ints too."""
+    kinds = (int, float) if kind is float else (int,)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise TypeError(f"need {'a number' if kind is float else 'an integer'}, "
+                        f"got {value!r}")
+    return value
+
+
+def _planted_rule(rule):
+    conditions = tuple((c["feature"], c.get("lo"), c.get("hi")) for c in rule["conditions"])
+    for _, *bounds in conditions:
+        for bound in bounds:
+            if bound is not None:
+                _number(bound, float)
+    return PlantedRule(rule["name"], conditions, _number(rule["probability"], float))
+
+
+# JSON value -> GeneratorConfig value, for the fields that are not plain numbers
+_CONVERT = {
+    "planted_rules": lambda rules: tuple(map(_planted_rule, rules)),
+    "feature_stats": lambda stats: {k: (_number(mean, float), _number(sd, float))
+                                    for k, (mean, sd) in stats.items()},
+    "start_date": dt.date.fromisoformat,
+}
+
+
 def _parse_generator_config(path, seed):
     overrides = {}
     if path:
-        with open(path) as fh:
+        with open_utf8(path) as fh:
             overrides = json.load(fh)
     if not isinstance(overrides, dict):
         raise ConfigInvalid(f"{path}: must hold a JSON object")
@@ -135,19 +162,17 @@ def _parse_generator_config(path, seed):
     if not set(overrides) <= settable:
         raise ConfigInvalid(f"{path}: cannot set {sorted(set(overrides) - settable)}; "
                             f"settable keys are {sorted(settable)}")
-    if "planted_rules" in overrides:
-        overrides["planted_rules"] = tuple(
-            PlantedRule(r["name"],
-                        tuple((c["feature"], c.get("lo"), c.get("hi"))
-                              for c in r["conditions"]),
-                        r["probability"])
-            for r in overrides["planted_rules"])
-    if "feature_stats" in overrides:
-        overrides["feature_stats"] = {k: tuple(v) for k, v in
-                                      overrides["feature_stats"].items()}
-    if "start_date" in overrides:
-        overrides["start_date"] = dt.date.fromisoformat(overrides["start_date"])
-    return GeneratorConfig(seed=seed, **overrides)
+    cfg = GeneratorConfig(seed=seed)
+    for key, value in overrides.items():
+        try:
+            if key in _CONVERT:
+                value = _CONVERT[key](value)
+            else:
+                value = _number(value, type(getattr(cfg, key)))
+            cfg = dataclasses.replace(cfg, **{key: value})  # runs the config's checks
+        except (ConfigInvalid, AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigInvalid(f"{path}: key {key!r}: {exc!r}") from None
+    return cfg
 
 
 def _cmd_generate(args):
@@ -233,7 +258,7 @@ def cli_main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (InjurycastError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (InjurycastError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

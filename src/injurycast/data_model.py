@@ -1,6 +1,7 @@
 """Domain types, CSV ingestion and injury-label assignment for a season of player data."""
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime as dt
 import math
@@ -11,6 +12,7 @@ from .errors import (
     DuplicateSession,
     MalformedRow,
     NegativeWorkload,
+    NotUtf8,
     UnknownPlayer,
 )
 
@@ -146,8 +148,19 @@ class LabelingResult:
         return sum(ls.label for ls in self.labeled)
 
 
+@contextlib.contextmanager
+def open_utf8(path, newline=None):
+    """The text file at path opened for reading as UTF-8, whatever the locale; a
+    byte that is not UTF-8, met while the file is read, raises NotUtf8."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise NotUtf8(path, exc) from None
+
+
 def _parse_csv(path, expected_header):
-    with open(path, newline="") as fh:
+    with open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -83,3 +83,11 @@ class InsufficientHistory(InjurycastError):
 
 class ConfigInvalid(InjurycastError):
     pass
+
+
+class NotUtf8(InjurycastError):
+    """A text input holds a byte sequence that is not UTF-8; names the file."""
+
+    def __init__(self, path, exc: UnicodeDecodeError):
+        super().__init__(f"{path}: cannot decode byte 0x{exc.object[exc.start]:02x} "
+                         f"as utf-8 ({exc.reason})")

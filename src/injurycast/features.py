@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import WORKLOAD_FEATURES, LabelingResult
+from .data_model import WORKLOAD_FEATURES, LabelingResult, open_utf8
 from .errors import EmptySeries, MalformedRow, MissingWindow
 
 PERSONAL_FEATURES = ("age", "bmi", "role", "pi", "play_time", "games")
@@ -99,7 +99,7 @@ class TrainingTable:
     def from_csv(cls, path) -> "TrainingTable":
         """Read a table written by to_csv; a short row or a cell that is not a
         finite number raises MalformedRow with its line and column."""
-        with open(path, newline="") as fh:
+        with open_utf8(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if not header:

@@ -13,6 +13,7 @@ from .data_model import (
     Role,
     SeasonLog,
     TrainingSession,
+    WORKLOAD_FEATURES,
 )
 from .errors import ConfigInvalid
 from .features import EWMA_SPAN, mswr
@@ -32,6 +33,9 @@ DEFAULT_FEATURE_STATS = {
     "dsl": (117.98, 78.52),
     "fi": (0.63, 0.31),
 }
+
+# the engineered features generate() tracks after each session: all a rule may read
+RULE_FEATURES = ("d_hsr_ewma", "d_tot_mswr", "pi_ewma")
 
 
 @dataclass(frozen=True)
@@ -90,12 +94,20 @@ class GeneratorConfig:
             raise ConfigInvalid("sessions_per_week must be in (0, 7]")
         if not (0 <= self.base_injury_rate <= 1):
             raise ConfigInvalid("base_injury_rate must be a probability")
+        if not self.player_spread >= 0:
+            raise ConfigInvalid("player_spread must be >= 0")
         for name, (mean, sd) in self.feature_stats.items():
             if mean <= 0 or sd <= 0:
                 raise ConfigInvalid(f"feature '{name}': mean and sd must be positive")
+        if set(self.feature_stats) != set(WORKLOAD_FEATURES):
+            raise ConfigInvalid("feature_stats needs one (mean, sd) pair for each of "
+                                f"{', '.join(WORKLOAD_FEATURES)}")
         for rule in self.planted_rules:
             if not (0 <= rule.probability <= 1):
                 raise ConfigInvalid(f"rule '{rule.name}': probability must be in [0, 1]")
+            if not set(rule.features) <= set(RULE_FEATURES):
+                raise ConfigInvalid(f"rule '{rule.name}': conditions may only read "
+                                    f"{', '.join(RULE_FEATURES)}")
 
 
 @dataclass

@@ -115,24 +115,40 @@ def _cv_folds(table, folds, seed):
             for train_idx, test_idx in stratified_kfold(table.y, folds, seed)]
 
 
+def _f1(y, pred):
+    return metrics(ConfusionMatrix.from_predictions(y, pred))["injury"]["f1"]
+
+
 def _injury_f1(model, test):
-    pred, _ = model.predict(test.X)
-    return metrics(ConfusionMatrix.from_predictions(test.y, pred))["injury"]["f1"]
+    return _f1(test.y, model.predict(test.X)[0])
 
 
 def tune(table, grid=None, folds: int = 2, seed: int = 0) -> TreeHyperParams:
     """Grid point maximizing mean injury-class F1 under stratified k-fold CV.
 
     Ties prefer the smaller max_depth, then the larger min_samples_leaf.
+
+    Each fold grows one tree per min_samples_leaf, with the largest max_depth
+    (None if any point has None) and smallest min_samples_split of the points
+    sharing it, and scores each point on that tree cut back to the point's own
+    settings (DecisionTreeModel._cut), which predicts as the point's own fit.
     """
     grid = list(grid) if grid is not None else default_grid()
     if not grid:
         raise ValueError("hyperparameter grid is empty")
     cv = _cv_folds(table, folds, seed)
+    deep = {}  # min_samples_leaf -> one tree per fold
+    for leaf in dict.fromkeys(hp.min_samples_leaf for hp in grid):
+        group = [hp for hp in grid if hp.min_samples_leaf == leaf]
+        depths = [hp.max_depth for hp in group]
+        deepest = TreeHyperParams(None if None in depths else max(depths), leaf,
+                                  min(hp.min_samples_split for hp in group))
+        deep[leaf] = [_grow(train, deepest, seed) for train, _ in cv]
     best_hp, best_key = None, None
     for hp in grid:
-        score = float(np.mean([_injury_f1(_grow(train, hp, seed), test)
-                               for train, test in cv]))
+        cut = (hp.max_depth, hp.min_samples_split)
+        score = float(np.mean([_f1(test.y, model._predict(test.X, model._cut(*cut))[0])
+                               for model, (_, test) in zip(deep[hp.min_samples_leaf], cv)]))
         depth = hp.max_depth if hp.max_depth is not None else np.inf
         key = (-score, depth, -hp.min_samples_leaf)
         if best_key is None or key < best_key:

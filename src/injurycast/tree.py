@@ -57,15 +57,17 @@ class DecisionTreeModel:
         self.counts = []  # per node (n_class0, n_class1)
         self._raw_importance = None
         # per split node: its tie set and weighted child impurity, so a refit
-        # without one column can keep the node (_grow); not serialised
+        # without one column can keep the node (_grow); per node: its depth, so
+        # the tree can be cut back (_cut). None of them is serialised.
         self._ties = []
         self._child_impurity = []
+        self._depth = []
 
     @property
     def n_nodes(self) -> int:
         return len(self.feature)
 
-    def _add_node(self, counts):
+    def _add_node(self, counts, depth):
         self.feature.append(-1)
         self.threshold.append(0.0)
         self.left.append(-1)
@@ -73,6 +75,7 @@ class DecisionTreeModel:
         self.counts.append((int(counts[0]), int(counts[1])))
         self._ties.append(None)
         self._child_impurity.append(None)
+        self._depth.append(depth)
         return len(self.feature) - 1
 
     def _finalize(self):
@@ -81,6 +84,7 @@ class DecisionTreeModel:
         self.left = np.asarray(self.left, dtype=int)
         self.right = np.asarray(self.right, dtype=int)
         self.counts = np.asarray(self.counts, dtype=int)
+        self._depth = np.asarray(self._depth, dtype=int)
 
     def predict(self, X):
         """Vectorized routing; returns (classes, minority-fraction scores)."""
@@ -88,18 +92,38 @@ class DecisionTreeModel:
         if X.shape[1] != len(self.feature_names):
             raise MissingFeature(
                 f"expected {len(self.feature_names)} features, got {X.shape[1]}")
+        return self._predict(X, self.feature < 0)
+
+    def _predict(self, X, stop):
+        """predict's result when routing ends at the first node where the per-node
+        mask stop holds (every leaf must hold it); X is a float (rows, p) array."""
         node = np.zeros(len(X), dtype=int)
-        active = self.feature[node] >= 0
+        active = ~stop[node]
         while np.any(active):
             idx = np.flatnonzero(active)
             f = self.feature[node[idx]]
             go_left = X[idx, f] <= self.threshold[node[idx]]
             node[idx] = np.where(go_left, self.left[node[idx]], self.right[node[idx]])
-            active = self.feature[node] >= 0
+            active = ~stop[node]
         c = self.counts[node]
         scores = c[:, 1] / c.sum(axis=1)
         classes = (c[:, 1] > c[:, 0]).astype(int)
         return classes, scores
+
+    def _cut(self, max_depth, min_samples_split):
+        """Stop mask (for _predict) of this tree cut back to max_depth and
+        min_samples_split, both no looser than the tree's own.
+
+        With no feature subsampling a node's split does not depend on max_depth
+        or min_samples_split; they only decide whether _grow splits it. So the
+        tree grown with these two settings (and the same rows, min_samples_leaf
+        and seed) is this one with every node at max_depth, or with fewer than
+        min_samples_split rows, made a leaf, and each such node keeps its
+        counts (CART's nested subtrees)."""
+        stop = (self.feature < 0) | (self.counts.sum(axis=1) < min_samples_split)
+        if max_depth is not None:
+            stop |= self._depth >= max_depth
+        return stop
 
     def importances(self) -> dict:
         """Normalized Gini importances over features actually used by splits."""
@@ -291,7 +315,7 @@ def _grow(data: Presorted, hp: TreeHyperParams = TreeHyperParams(), seed: int = 
         ones = y.take(rows[0])
         n = len(ones)
         counts = (n - ones.sum(), ones.sum())
-        node_id = model._add_node(counts)
+        node_id = model._add_node(counts, depth)
         if parent >= 0:
             link[parent] = node_id
         impurity = gini(counts)

@@ -101,6 +101,31 @@ BAD_INPUTS = {
                            {"c.json": '{"n_playerz": 3}'}, 1, "n_playerz"),
     "config-not-an-object": (["generate", "--seed", "0", "--config", "c.json", *SEASON],
                              {"c.json": "[1, 2]"}, 1, "object"),
+    "config-rule-without-fields": (["generate", "--seed", "0", "--config", "c.json", *SEASON],
+                                   {"c.json": '{"planted_rules": [{}]}'},
+                                   1, "c.json: key 'planted_rules'"),
+    "config-date-not-iso": (["generate", "--seed", "0", "--config", "c.json", *SEASON],
+                            {"c.json": '{"start_date": "nope"}'},
+                            1, "c.json: key 'start_date'"),
+    "config-stats-not-an-object": (["generate", "--seed", "0", "--config", "c.json", *SEASON],
+                                   {"c.json": '{"feature_stats": 5}'},
+                                   1, "c.json: key 'feature_stats'"),
+    "config-count-not-a-number": (["generate", "--seed", "0", "--config", "c.json", *SEASON],
+                                  {"c.json": '{"n_players": "x"}'},
+                                  1, "c.json: key 'n_players'"),
+    "config-count-not-an-integer": (["generate", "--seed", "0", "--config", "c.json", *SEASON],
+                                    {"c.json": '{"weeks": 2.5}'}, 1, "c.json: key 'weeks'"),
+    "config-rule-unknown-feature": (
+        ["generate", "--seed", "0", "--config", "c.json", *SEASON],
+        {"c.json": '{"planted_rules": [{"name": "r", "probability": 0.5, '
+                   '"conditions": [{"feature": "d_tot", "lo": 1}]}]}'},
+        1, "may only read"),
+    "config-stats-missing-a-workload": (
+        ["generate", "--seed", "0", "--config", "c.json", *SEASON],
+        {"c.json": '{"feature_stats": {"d_tot": [1, 1]}}'}, 1, "c.json: key 'feature_stats'"),
+    "config-spread-negative": (["generate", "--seed", "0", "--config", "c.json", *SEASON],
+                               {"c.json": '{"player_spread": -1}'},
+                               1, "c.json: key 'player_spread'"),
     "model-without-feature-names": (["rules", "--model", "m.json"],
                                     {"m.json": '{"hyperparams": {}, "nodes": {}}'},
                                     1, "feature_names"),
@@ -169,14 +194,18 @@ def test_directory_path_is_one_line_error(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv, name, data", [
     (["ingest", *SEASON], "sessions.csv", (SESSIONS + SESSION).replace("P1", "P\xe9")),
     (["rules", "--model", "m.json"], "m.json", model_json().replace('"x"', '"\xe9"')),
-], ids=["csv", "model"])
+    (["train", "--table", "t.csv", "--seed", "0", "--out", "m.json"], "t.csv",
+     "x\xe9,label\n1.0,0\n"),
+    (["generate", "--seed", "0", "--config", "c.json", *SEASON], "c.json",
+     '{"n_players": 3, "weeks": 3, "start_date": "2014-01-01\xe9"}'),
+], ids=["csv", "model", "table", "config"])
 def test_file_that_is_not_utf8_is_one_line_error(tmp_path, capsys, argv, name, data):
     argv = in_dir(tmp_path, argv)
     (tmp_path / name).write_bytes(data.encode("latin-1"))
     assert run(*argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "utf-8" in err
+    assert "utf-8" in err and str(tmp_path / name) in err
 
 
 class TestGenerateIngest:

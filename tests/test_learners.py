@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from injurycast.data_model import assign_labels
 from injurycast.errors import NonConvergence
-from injurycast.features import TrainingTable
+from injurycast.features import TrainingTable, build_training_table
+from injurycast.generator import GeneratorConfig, generate
 from injurycast.learners import (
     FeatureSubset,
     LinearModel,
+    _cv_folds,
+    _f1,
     _injury_f1,
     default_grid,
     fit_forest,
@@ -17,7 +21,7 @@ from injurycast.learners import (
 )
 from injurycast.metrics import stratified_kfold
 from injurycast.resampling import ResamplingConfig, adasyn
-from injurycast.tree import TreeHyperParams
+from injurycast.tree import TreeHyperParams, _grow
 
 from conftest import planted_table, rand_table
 
@@ -51,6 +55,47 @@ def reference_rfecv(table, hp=TreeHyperParams(max_depth=5), folds=3, seed=0):
               for train, test in cv]
     best_size = min(trace, key=lambda s: (-trace[s], s))
     return FeatureSubset(subsets[best_size], trace)
+
+
+def reference_fold_f1(table, grid, folds=2, seed=0):
+    """Each grid point's injury F1 on each of tune's folds, from a tree grown for
+    that point alone."""
+    cv = _cv_folds(table, folds, seed)
+    return [[_injury_f1(_grow(train, hp, seed), test) for train, test in cv]
+            for hp in grid]
+
+
+def reference_tune(table, grid=None, folds=2, seed=0, fold_f1=None):
+    """tune with one fit per grid point and fold, the refit loop that scoring by
+    truncation replaced; tune must pick the same point. `fold_f1`, from
+    reference_fold_f1 on this grid, saves the fits."""
+    grid = list(grid) if grid is not None else default_grid()
+    fold_f1 = fold_f1 or reference_fold_f1(table, grid, folds, seed)
+    best_hp, best_key = None, None
+    for hp, f1s in zip(grid, fold_f1):
+        score = float(np.mean(f1s))
+        depth = hp.max_depth if hp.max_depth is not None else np.inf
+        key = (-score, depth, -hp.min_samples_leaf)
+        if best_key is None or key < best_key:
+            best_hp, best_key = hp, key
+    return best_hp
+
+
+# a caller's grid: max_depth None beside finite depths, several min_samples_split
+# values within one min_samples_leaf, and leaf groups out of order
+MIXED_GRID = [TreeHyperParams(max_depth=d, min_samples_leaf=l, min_samples_split=s)
+              for l in (3, 1) for d in (None, 2, 7) for s in (2, 5, 40)]
+
+
+@pytest.fixture(scope="module", params=[7, 11])
+def balanced_default_season(request):
+    """A default-size generated season, ADASYN-balanced, its seed and
+    reference_fold_f1 over default_grid() + MIXED_GRID."""
+    log, _ = generate(GeneratorConfig(seed=request.param))
+    table, _ = build_training_table(assign_labels(log), log.players)
+    table = adasyn(table, ResamplingConfig(seed=request.param))
+    grid = default_grid() + MIXED_GRID
+    return table, request.param, reference_fold_f1(table, grid, seed=request.param)
 
 
 class TestGrid:
@@ -87,6 +132,48 @@ class TestTune:
     def test_deterministic(self):
         t = rand_table(n=60, p=4, n_pos=20, seed=3)
         assert tune(t, folds=2, seed=5) == tune(t, folds=2, seed=5)
+
+
+class TestTuneByTruncation:
+    def test_every_fold_f1_equals_a_fresh_fit(self, balanced_default_season):
+        table, seed, fold_f1 = balanced_default_season
+        cv = _cv_folds(table, 2, seed)
+        deepest = {leaf: [_grow(train, TreeHyperParams(None, leaf, 2), seed)
+                          for train, _ in cv] for leaf in (1, 2, 3, 5, 10)}
+        for hp, want in zip(default_grid() + MIXED_GRID, fold_f1):
+            got = [_f1(test.y, model._predict(
+                       test.X, model._cut(hp.max_depth, hp.min_samples_split))[0])
+                   for model, (_, test) in zip(deepest[hp.min_samples_leaf], cv)]
+            assert got == want, hp
+
+    def test_matches_reference_on_balanced_seasons(self, balanced_default_season):
+        table, seed, fold_f1 = balanced_default_season
+        n = len(default_grid())
+        assert tune(table, seed=seed) == reference_tune(table, seed=seed,
+                                                        fold_f1=fold_f1[:n])
+        assert tune(table, MIXED_GRID, seed=seed) == reference_tune(
+            table, MIXED_GRID, seed=seed, fold_f1=fold_f1[n:])
+
+    @pytest.mark.parametrize("table, grid", [
+        (rand_table(n=40, p=3, n_pos=14, seed=0), [TreeHyperParams(4, 2)]),
+        (planted_table(n=240, seed=1, noise_features=0),
+         [TreeHyperParams(max_depth=1), TreeHyperParams(max_depth=2)]),
+        (rand_table(n=60, p=4, n_pos=20, seed=3), None),
+        (rand_table(n=60, p=4, n_pos=20, seed=3), MIXED_GRID),
+        (planted_table(n=200, seed=8, noise_features=6), MIXED_GRID),
+    ], ids=["singleton", "planted-depths", "random-default", "random-mixed",
+            "planted-mixed"])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_matches_reference_on_small_tables(self, table, grid, seed):
+        assert tune(table, grid, seed=seed) == reference_tune(table, grid, seed=seed)
+
+    def test_margin_tie_matches_reference(self):
+        rng = np.random.default_rng(2)
+        X = np.vstack([rng.uniform(0.0, 0.6, size=(150, 2)),
+                       rng.uniform(0.8, 1.0, size=(50, 2))])
+        t = table_from(X, np.array([0] * 150 + [1] * 50), ["sig_a", "sig_b"])
+        grid = [TreeHyperParams(max_depth=6), TreeHyperParams(max_depth=2)]
+        assert tune(t, grid, seed=0) == reference_tune(t, grid, seed=0)
 
 
 class TestRfecv:

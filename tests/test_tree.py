@@ -61,7 +61,7 @@ def reference_fit_tree(X, y, feature_names, hp=TreeHyperParams(), seed=0,
         ones = y[idx]
         n = len(idx)
         counts = (n - ones.sum(), ones.sum())
-        node_id = model._add_node(counts)
+        node_id = model._add_node(counts, depth)
         impurity = gini(counts)
         if (impurity == 0.0
                 or n < hp.min_samples_split
@@ -335,6 +335,53 @@ class TestMatchesReferenceFitter:
         assert model.n_nodes == 5999
         pred, _ = model.predict(X)
         np.testing.assert_array_equal(pred, y)
+
+
+def reference_predict(model, X):
+    """predict by walking each row down from the root, one node at a time."""
+    classes, scores = [], []
+    for row in X:
+        node = 0
+        while model.feature[node] >= 0:
+            go_left = row[model.feature[node]] <= model.threshold[node]
+            node = model.left[node] if go_left else model.right[node]
+        c0, c1 = model.counts[node]
+        classes.append(int(c1 > c0))
+        scores.append(c1 / (c0 + c1))
+    return np.array(classes), np.array(scores)
+
+
+class TestRouting:
+    @pytest.mark.parametrize("hp", [TreeHyperParams(), TreeHyperParams(max_depth=3),
+                                    TreeHyperParams(max_depth=6, min_samples_leaf=5)])
+    def test_predict_matches_a_row_by_row_walk(self, balanced_season, hp):
+        t = balanced_season
+        X = np.vstack([t.X, np.random.default_rng(0).uniform(
+            t.X.min(axis=0), t.X.max(axis=0), size=(300, t.X.shape[1]))])
+        model = fit_tree(t, hp=hp, seed=2)
+        for m in (model, DecisionTreeModel.from_json(model.to_json())):
+            got, want = m.predict(X), reference_predict(m, X)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_cut_predicts_as_a_fresh_fit(self, balanced_season, seed):
+        t = balanced_season
+        data = Presorted(t)
+        grid = default_grid() + [TreeHyperParams(None, 1, 9), TreeHyperParams(None, 2, 2)]
+        deepest = {leaf: _grow(data, TreeHyperParams(None, leaf, 2), seed)
+                   for leaf in {hp.min_samples_leaf for hp in grid}}
+        for hp in grid:
+            model = deepest[hp.min_samples_leaf]
+            got = model._predict(t.X, model._cut(hp.max_depth, hp.min_samples_split))
+            want = fit_tree(t, hp=hp, seed=seed).predict(t.X)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+    def test_cut_at_the_trees_own_settings_stops_only_at_leaves(self, balanced_season):
+        hp = TreeHyperParams(max_depth=5, min_samples_leaf=2, min_samples_split=10)
+        model = fit_tree(balanced_season, hp=hp)
+        np.testing.assert_array_equal(model._cut(5, 10), model.feature < 0)
 
 
 class TestPresorted:
