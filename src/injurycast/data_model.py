@@ -310,14 +310,14 @@ def assign_labels(log: SeasonLog, horizon_days: int = 3) -> LabelingResult:
 
 def write_season_csvs(log: SeasonLog, sessions_file, injuries_file, players_file) -> None:
     """Inverse of parse_season; used by the generator and for round-trip tests."""
-    with open(players_file, "w", newline="") as fh:
+    with open(players_file, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(PLAYERS_HEADER)
         for pid in sorted(log.players):
             p = log.players[pid]
             w.writerow([p.player_id, p.age, f"{p.height_cm:g}", f"{p.body_mass_kg:g}",
                         p.role.value])
-    with open(sessions_file, "w", newline="") as fh:
+    with open(sessions_file, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(SESSIONS_HEADER)
         for pid in sorted(log.sessions):
@@ -325,7 +325,7 @@ def write_season_csvs(log: SeasonLog, sessions_file, injuries_file, players_file
                 w.writerow([s.player_id, s.date.isoformat()]
                            + [repr(float(s.workload[f])) for f in WORKLOAD_FEATURES]
                            + [f"{s.play_time:g}", s.games])
-    with open(injuries_file, "w", newline="") as fh:
+    with open(injuries_file, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(INJURIES_HEADER)
         for inj in sorted(log.injuries, key=lambda i: (i.player_id, i.onset_date)):

@@ -80,7 +80,7 @@ class TrainingTable:
                              self.synthetic[indices])
 
     def to_csv(self, path, include_meta: bool = False) -> None:
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             w = csv.writer(fh)
             meta = ["player_id", "date", "synthetic"] if include_meta else []
             w.writerow(meta + list(self.feature_names) + ["label"])

@@ -175,12 +175,15 @@ def rfecv(table, hp: TreeHyperParams = TreeHyperParams(max_depth=5),
     with ties resolved toward the smallest subset.
 
     Each fold's tree and the importance tree are refitted from their tree at
-    the previous size (tree._grow), which keeps every node the dropped feature
-    cannot change; the models are the ones fit_tree would give.
+    the previous size (tree._grow), which searches only under the nodes whose
+    winner the drop changes; the models are the ones fit_tree would give. A
+    fold tree that the drop leaves unchanged (_reused) keeps its previous F1
+    without routing the test fold again.
     """
     cv = _cv_folds(table, folds, seed)
     data = Presorted(table)
     fold_models = [None] * len(cv)
+    fold_f1 = [None] * len(cv)
     model = None
     dropped = -1
     trace = {}
@@ -189,8 +192,9 @@ def rfecv(table, hp: TreeHyperParams = TreeHyperParams(max_depth=5),
         names = data.feature_names
         fold_models = [_grow(train, hp=hp, seed=seed, prev=prev, dropped=dropped)
                        for (train, _), prev in zip(cv, fold_models)]
-        trace[len(names)] = float(np.mean([_injury_f1(m, test)
-                                           for m, (_, test) in zip(fold_models, cv)]))
+        fold_f1 = [f1 if m._reused else _injury_f1(m, test)
+                   for m, f1, (_, test) in zip(fold_models, fold_f1, cv)]
+        trace[len(names)] = float(np.mean(fold_f1))
         subsets[len(names)] = names
         if len(names) == 1:
             break

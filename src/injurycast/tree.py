@@ -56,12 +56,15 @@ class DecisionTreeModel:
         self.right = []
         self.counts = []  # per node (n_class0, n_class1)
         self._raw_importance = None
-        # per split node: its tie set and weighted child impurity, so a refit
-        # without one column can keep the node (_grow); per node: its depth, so
-        # the tree can be cut back (_cut). None of them is serialised.
-        self._ties = []
-        self._child_impurity = []
+        # (n_nodes, p): each feature's minimum weighted child impurity at each
+        # split node, inf at leaves, so a refit without one column reads its
+        # winners from it (_refit_plan); None for a tree grown with
+        # max_features. Per node: its depth, so the tree can be cut back (_cut).
+        # _reused marks a refit that changed no node: it routes every row as
+        # the tree it came from did. None of them is serialised.
+        self._minima = None
         self._depth = []
+        self._reused = False
 
     @property
     def n_nodes(self) -> int:
@@ -73,8 +76,6 @@ class DecisionTreeModel:
         self.left.append(-1)
         self.right.append(-1)
         self.counts.append((int(counts[0]), int(counts[1])))
-        self._ties.append(None)
-        self._child_impurity.append(None)
         self._depth.append(depth)
         return len(self.feature) - 1
 
@@ -237,10 +238,10 @@ def _best_split(sv, sy, min_leaf):
 
     Row j of sv holds the node's values of candidate j in ascending order and
     row j of sy their labels. Returns (j, threshold, weighted child impurity,
-    tie set) for the lowest weighted child Gini, ties going to the first
+    row_min) for the lowest weighted child Gini, ties going to the first
     candidate and within it to the first position, or None when no candidate
-    has a valid split. The tie set lists, in ascending order, every candidate
-    whose best position attains that minimum.
+    has a valid split. row_min[j] is candidate j's own minimum (inf without a
+    valid split); it depends only on row j of sv and sy.
     """
     n = sv.shape[1]
     lo, hi = min_leaf - 1, n - min_leaf  # left child of i + 1 rows, i in [lo, hi)
@@ -265,7 +266,7 @@ def _best_split(sv, sy, min_leaf):
         return None
     i = int(np.argmin(weighted[j]))
     threshold = 0.5 * (sv[j, lo + i] + sv[j, lo + i + 1])
-    return j, float(threshold), float(best), np.flatnonzero(row_min == best)
+    return j, float(threshold), float(best), row_min
 
 
 def fit_tree(table_or_X, y=None, feature_names=None,
@@ -287,13 +288,53 @@ def fit_tree(table_or_X, y=None, feature_names=None,
     return _grow(Presorted(table_or_X, y, feature_names), hp, seed, max_features)
 
 
+def _refit_plan(prev: DecisionTreeModel, dropped: int, rank):
+    """What refitting prev without column `dropped` changes, read from prev's
+    minima alone. rank[f] is remaining column f's position in the refit's
+    feature_order.
+
+    Returns, per node of prev: `minima` without the column; `winner`, the
+    column a full search would pick there (the first in feature_order at the
+    row minimum: each entry is that column's own best split on the node's rows,
+    which the drop leaves as they are); `changed`, the split nodes whose winner
+    is another column than before; `walk`, the changed nodes and their
+    ancestors, the only nodes whose rows a refit needs.
+    """
+    minima = np.delete(prev._minima, dropped, axis=1)
+    at_min = minima == minima.min(axis=1, keepdims=True)
+    winner = np.where(at_min, rank, len(rank)).argmin(axis=1)
+    old = prev.feature
+    # a dropped winner's shifted index is its right neighbour's new index, so it
+    # is marked on its own
+    changed = (old >= 0) & ((old == dropped) | (winner != old - (old > dropped)))
+    split = np.flatnonzero(old >= 0)
+    parent = np.full(len(old), -1)
+    parent[prev.left[split]] = split
+    parent[prev.right[split]] = split
+    walk = changed.copy()
+    up = np.flatnonzero(changed)
+    while len(up):
+        up = parent[up]
+        up = up[up >= 0]
+        up = up[~walk[up]]
+        walk[up] = True
+    return minima, winner, changed, walk
+
+
 def _grow(data: Presorted, hp: TreeHyperParams = TreeHyperParams(), seed: int = 0,
           max_features: int | None = None, prev: DecisionTreeModel | None = None,
           dropped: int = -1) -> DecisionTreeModel:
     """fit_tree's grow loop. Given prev, a tree fitted with the same rows, hp and
     seed on these columns plus one more at index dropped, it returns the model
-    fit_tree would, byte for byte, and searches only the nodes that the dropped
-    column can change (recursive feature elimination refits this way)."""
+    fit_tree would, byte for byte (recursive feature elimination refits this way).
+
+    A refit keeps each node of prev that _refit_plan does not mark changed and
+    walks rows only down the paths to changed nodes; every other node takes its
+    counts from prev. A changed node reads its winner and child impurity from
+    the minima and searches that one column for the threshold; the subtree
+    under it is grown in full. A refit that changes no node is prev with the
+    column removed, marked _reused.
+    """
     if prev is not None and max_features is not None:
         raise ValueError("a refit from a previous tree cannot subsample features")
     cols, y = data.cols, data.y
@@ -304,17 +345,33 @@ def _grow(data: Presorted, hp: TreeHyperParams = TreeHyperParams(), seed: int = 
     rank = np.empty(p, dtype=int)  # position of each feature in feature_order
     rank[feature_order] = np.arange(p)
 
+    if prev is not None:
+        minima, winner, changed, walk = _refit_plan(prev, dropped, rank)
+        if not changed.any():
+            model = copy.copy(prev)
+            model.feature_names = data.feature_names
+            model.feature = prev.feature - (prev.feature > dropped)
+            model._raw_importance = np.delete(prev._raw_importance, dropped)
+            model._minima = minima
+            model._reused = True
+            return model
+
     model = DecisionTreeModel(data.feature_names, hp)
     raw_importance = np.zeros(p)
+    memo = {}  # split node -> its row of model._minima
     goes_left = np.zeros(n_total, dtype=bool)  # reused: a split reads only its own rows
     offsets = np.arange(p)[:, None] * n_total  # rows[f] + offsets[f] index cols.ravel()
-    # (sorted rows, depth, parent, parent's link, prev's node with these rows or -1)
+    # (sorted rows or None where no node below changes, depth, parent, parent's
+    # link, prev's node with these rows or -1)
     stack = [(data.rows, 0, -1, model.left, 0 if prev is not None else -1)]
     while stack:
         rows, depth, parent, link, old = stack.pop()
-        ones = y.take(rows[0])
-        n = len(ones)
-        counts = (n - ones.sum(), ones.sum())
+        if old >= 0:
+            counts = prev.counts[old]
+        else:
+            ones = y.take(rows[0])
+            counts = (len(ones) - ones.sum(), ones.sum())
+        n = counts[0] + counts[1]
         node_id = model._add_node(counts, depth)
         if parent >= 0:
             link[parent] = node_id
@@ -325,29 +382,21 @@ def _grow(data: Presorted, hp: TreeHyperParams = TreeHyperParams(), seed: int = 
                 or (old >= 0 and prev.feature[old] < 0)):  # prev's leaf, see below
             continue
 
-        kept = False
         if old >= 0:
             # prev's node has these rows and the candidates are its candidates
             # minus the dropped one. A leaf there stays a leaf: the stopping
             # tests read only rows, depth and hp, and the minimum child impurity
             # over fewer features cannot fall, so neither can a failed split
-            # succeed. A split keeps its (minimal) child impurity whenever its
-            # winner survives, and the new winner is the first feature of the
-            # tie set minus the dropped one in the new feature_order: the
-            # full search would pick that feature at that position, so the
-            # threshold, the decrease and the children's rows are the same, and
+            # succeed. At a split the full search would pick the plan's winner
+            # with its minimum; a kept winner splits at prev's threshold, so
             # each child is again reached with prev's rows.
-            old_feat = int(prev.feature[old])
-            best_feat = old_feat - (old_feat > dropped)
-            ties = prev._ties[old]
-            ties = ties[ties != dropped]
-            ties -= ties > dropped
-            kept = old_feat != dropped and ties[np.argmin(rank[ties])] == best_feat
-        if kept:
-            best_thr = float(prev.threshold[old])
-            best_child_imp = prev._child_impurity[old]
-            children = (int(prev.left[old]), int(prev.right[old]))
-            goes_left[rows[best_feat]] = cols[best_feat].take(rows[best_feat]) <= best_thr
+            best_feat = int(winner[old])
+            best_child_imp = minima[old, best_feat]
+            memo_row = minima[old]
+            best_thr, children = None, (-1, -1)
+            if not changed[old]:
+                best_thr = float(prev.threshold[old])
+                children = (int(prev.left[old]), int(prev.right[old]))
         else:
             cand = feature_order
             if max_features is not None and max_features < p:
@@ -357,27 +406,42 @@ def _grow(data: Presorted, hp: TreeHyperParams = TreeHyperParams(), seed: int = 
             split = _best_split(sv, y.take(cand_rows), hp.min_samples_leaf)
             if split is None:
                 continue
-            j, best_thr, best_child_imp, ties = split
+            j, best_thr, best_child_imp, row_min = split
             best_feat = int(cand[j])
-            ties = cand[ties]
+            memo_row = row_min[rank] if max_features is None else None
             children = (-1, -1)
             goes_left[cand_rows[j]] = sv[j] <= best_thr
         decrease = impurity - best_child_imp
         if decrease <= 1e-12:
             continue
+        if old >= 0 and rows is not None:
+            win_rows = rows[best_feat]
+            sv = cols[best_feat].take(win_rows)
+            if best_thr is None:  # a changed node: search its winner alone
+                best_thr = _best_split(sv[None], y.take(win_rows)[None],
+                                       hp.min_samples_leaf)[1]
+            goes_left[win_rows] = sv <= best_thr
 
-        left = goes_left.take(rows).ravel()
         model.feature[node_id] = best_feat
         model.threshold[node_id] = best_thr
-        model._ties[node_id] = ties
-        model._child_impurity[node_id] = best_child_imp
+        if memo_row is not None:
+            memo[node_id] = memo_row
         raw_importance[best_feat] += (n / n_total) * decrease
-        # right is pushed first so the left subtree is grown first: preorder ids
-        stack.append((np.compress(~left, rows).reshape(p, -1), depth + 1, node_id,
-                      model.right, children[1]))
-        stack.append((np.compress(left, rows).reshape(p, -1), depth + 1, node_id,
-                      model.left, children[0]))
+        if rows is not None:
+            left = goes_left.take(rows).ravel()
+        # right is pushed first so the left subtree is grown first: preorder ids;
+        # a kept child with no changed node below it gets no rows
+        for child, child_link, go_left in ((children[1], model.right, False),
+                                           (children[0], model.left, True)):
+            child_rows = None
+            if rows is not None and (child < 0 or walk[child]):
+                child_rows = np.compress(left == go_left, rows).reshape(p, -1)
+            stack.append((child_rows, depth + 1, node_id, child_link, child))
 
     model._finalize()
     model._raw_importance = raw_importance
+    if max_features is None:
+        model._minima = np.full((model.n_nodes, p), np.inf)
+        if memo:
+            model._minima[list(memo)] = list(memo.values())
     return model

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -206,6 +210,36 @@ def test_file_that_is_not_utf8_is_one_line_error(tmp_path, capsys, argv, name, d
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "utf-8" in err and str(tmp_path / name) in err
+
+
+def test_artifacts_are_utf8_under_an_ascii_locale(tmp_path, season_files):
+    """The POSIX locale without UTF-8 mode makes ASCII the default file encoding;
+    the files the CLI writes must still be UTF-8, the encoding it reads."""
+    env = dict(os.environ, LC_ALL="POSIX", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.pathsep.join(
+                   [str(pathlib.Path(__file__).resolve().parent.parent / "src"),
+                    os.environ.get("PYTHONPATH", "")]))
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "injurycast.cli", *argv], env=env,
+                              cwd=tmp_path, capture_output=True, text=True)
+    encoding = subprocess.run(
+        [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
+        env=env, capture_output=True, text=True).stdout.strip()
+    assert encoding in ("ANSI_X3.4-1968", "ascii", "US-ASCII"), encoding
+    for k in ("sessions", "injuries", "players"):
+        text = pathlib.Path(season_files[k]).read_text(encoding="utf-8")
+        (tmp_path / f"{k}.csv").write_text(text.replace("P01,", "P\xfc01,"),
+                                           encoding="utf-8")
+    done = cli("featurize", "--sessions", "sessions.csv", "--injuries", "injuries.csv",
+               "--players", "players.csv", "--out", "table.csv")
+    assert done.returncode == 0, done.stderr
+    assert "P\xfc01" in TrainingTable.from_csv(str(tmp_path / "table.csv")).player_ids
+    model = fit_tree(np.arange(6.0)[:, None], np.array([0, 0, 0, 1, 1, 1]), ["l\xe4st"])
+    (tmp_path / "m.json").write_text(model.to_json())
+    done = cli("rules", "--model", "m.json", "--format", "text", "--out", "rules.txt")
+    assert done.returncode == 0, done.stderr
+    assert "l\xe4st" in (tmp_path / "rules.txt").read_text(encoding="utf-8")
 
 
 class TestGenerateIngest:

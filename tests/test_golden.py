@@ -45,6 +45,14 @@ WALK_FORWARD_GOLDEN = {
     11: "4c8035fb0faa85c9aa1fedbd70eac70e52fa36eb50c64d2647c8dbb7ae02e7c1",
 }
 
+# the same digest on a 26 x 12 season at seed 19, forecasting from week 6 as the
+# weekly_replay benchmark does: its deeper trees refit many RFECV nodes that the
+# 10 x 10 seasons above leave untouched
+WIDE_SEASON = {"n_players": 26, "weeks": 12}
+WIDE_WALK_FORWARD_GOLDEN = {
+    19: "0c9adc9536fbbc5ea2934dcb77d0cdeeff73541f0f7f621072798f51d813dc73",
+}
+
 
 def chain_digests(root, seed: int) -> dict:
     """Run generate -> featurize -> train -> compare -> simulate -> rules and hash every artifact."""
@@ -88,3 +96,11 @@ def test_walk_forward_outcomes_match_golden(seed):
     outcomes = walk_forward(log, PipelineConfig(seed=seed), start_week=7)
     text = json.dumps([o.to_dict() for o in outcomes], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == WALK_FORWARD_GOLDEN[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(WIDE_WALK_FORWARD_GOLDEN))
+def test_wide_season_walk_forward_matches_golden(seed):
+    log, _ = generate(GeneratorConfig(seed=seed, **WIDE_SEASON))
+    outcomes = walk_forward(log, PipelineConfig(seed=seed), start_week=6)
+    text = json.dumps([o.to_dict() for o in outcomes], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == WIDE_WALK_FORWARD_GOLDEN[seed]

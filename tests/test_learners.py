@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from injurycast import learners, tree
 from injurycast.data_model import assign_labels
 from injurycast.errors import NonConvergence
 from injurycast.features import TrainingTable, build_training_table
@@ -199,6 +200,42 @@ class TestRfecv:
     def test_deterministic(self):
         t = planted_table(n=200, seed=7)
         assert rfecv(t, folds=3, seed=2).names == rfecv(t, folds=3, seed=2).names
+
+
+def test_skipped_refit_searches_and_routes_nothing(monkeypatch):
+    # "flat" is constant: no split, no tie set and no importance, so rfecv drops
+    # it first and every fold tree at size 1 is its size-2 tree
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=120)
+    y = (x + rng.normal(scale=0.5, size=120) > 0).astype(int)
+    table = table_from(np.column_stack([np.zeros(120), x]), y, ["flat", "x"])
+    hp = TreeHyperParams(max_depth=3)
+    want = reference_rfecv(table, hp=hp, folds=3, seed=0)
+    calls = []
+    real_grow, real_split = learners._grow, tree._best_split
+    real_predict = tree.DecisionTreeModel.predict
+
+    def grow(*args, **kwargs):
+        calls.append("refit" if kwargs.get("prev") is not None else "fit")
+        return real_grow(*args, **kwargs)
+
+    def split(*args):
+        calls.append("search")
+        return real_split(*args)
+
+    def predict(self, X):
+        calls.append("predict")
+        return real_predict(self, X)
+    monkeypatch.setattr(learners, "_grow", grow)
+    monkeypatch.setattr(tree, "_best_split", split)
+    monkeypatch.setattr(tree.DecisionTreeModel, "predict", predict)
+    got = rfecv(table, hp=hp, folds=3, seed=0)
+    assert (got.names, got.score_trace) == (want.names, want.score_trace)
+    # size 2: three fold fits, their three test folds and the importance fit;
+    # size 1: three refits that neither search nor route
+    assert calls.count("predict") == 3
+    assert calls[calls.index("refit"):] == ["refit"] * 3
+    assert got.score_trace[1] == got.score_trace[2]
 
 
 class TestRfecvMatchesReference:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from injurycast import tree
 from injurycast.data_model import assign_labels
 from injurycast.errors import EmptyNode, EmptyTable, MissingFeature
 from injurycast.features import build_training_table
@@ -405,12 +406,18 @@ class TestPresorted:
         assert got.feature_names == want.feature_names
 
 
+def _ties(model, node):
+    """Every column at the split node's row minimum: the node's tie set."""
+    minima = model._minima
+    return np.flatnonzero(minima[node] == minima[node].min())
+
+
 def _next_drop(model, step, rng):
     """Column to drop after `model`: in turn a split's winner, a tie-set member that
-    did not win its node, and any column, so both of _grow's branches run."""
+    did not win its node, and any column, so every branch of a refit runs."""
     split = np.flatnonzero(model.feature >= 0)
     winners = model.feature[split]
-    losers = [f for node in split for f in model._ties[node] if f != model.feature[node]]
+    losers = [f for node in split for f in _ties(model, node) if f != model.feature[node]]
     pools = [winners, losers, np.arange(len(model.feature_names))]
     pool = pools[step % 3] if len(pools[step % 3]) else pools[2]
     return int(rng.choice(pool))
@@ -420,9 +427,27 @@ def _drop_kind(model, dropped):
     split = np.flatnonzero(model.feature >= 0)
     if dropped in model.feature[split]:
         return "winner"
-    if any(dropped in model._ties[node] for node in split):
+    if any(dropped in _ties(model, node) for node in split):
         return "tie"
     return "unused"
+
+
+def _first_column(seed, p):
+    """The column a fit with `seed` on p columns tries first (it wins exact ties)."""
+    return int(np.random.default_rng(seed).permutation(p)[0])
+
+
+@pytest.fixture
+def split_rows(monkeypatch):
+    """The (candidates, rows) shape of each _best_split call, in call order."""
+    calls = []
+    real = tree._best_split
+
+    def counted(sv, sy, min_leaf):
+        calls.append(sv.shape)
+        return real(sv, sy, min_leaf)
+    monkeypatch.setattr(tree, "_best_split", counted)
+    return calls
 
 
 class TestChainedRefit:
@@ -489,7 +514,76 @@ class TestChainedRefit:
         model = _grow(Presorted(X[:, :1], y, ["x"]), prev=prev, dropped=1)
         assert model.to_json() == fit_tree(X[:, :1], y, ["x"]).to_json()
         assert model.threshold[0] == 1.5
-        assert list(model._ties[0]) == [0]
+        assert list(_ties(model, 0)) == [0]
+
+    def test_refit_that_changes_nothing_is_skipped_whole(self, split_rows):
+        # a constant column has no split, so it is in no tie set; continuous
+        # columns leave no ties for the new feature_order to reorder
+        rng = np.random.default_rng(8)
+        X = np.column_stack([rng.normal(size=(150, 3)), np.full(150, 2.0),
+                             rng.normal(size=150)])
+        y = (X[:, 0] + X[:, 2] + rng.normal(scale=0.7, size=150) > 0).astype(int)
+        names = ["a", "b", "c", "flat", "d"]
+        hp = TreeHyperParams(max_depth=4)
+        prev = _grow(Presorted(X, y, names), hp=hp, seed=5)
+        split_rows.clear()
+        model = _grow(Presorted(X, y, names).drop(3), hp=hp, seed=5, prev=prev, dropped=3)
+        assert model._reused and split_rows == []
+        want = fit_tree(np.delete(X, 3, axis=1), y, names[:3] + names[4:], hp=hp, seed=5)
+        assert model.to_json() == want.to_json()
+        np.testing.assert_array_equal(model._minima, np.delete(prev._minima, 3, axis=1))
+
+    def test_only_a_deep_subtree_is_searched(self, split_rows):
+        # the labels are a conjunction of three columns, so the tree splits on a,
+        # then b, then c at depth 2, and each other node is pure; without c that
+        # node splits on noise, and only it and the subtree under it search
+        rng = np.random.default_rng(4)
+        X = rng.uniform(size=(400, 5))
+        y = ((X[:, 0] > 0.5) & (X[:, 1] > 0.5) & (X[:, 2] > 0.3)).astype(int)
+        names = ["a", "b", "c", "noise0", "noise1"]
+        hp = TreeHyperParams(max_depth=6)
+        prev = _grow(Presorted(X, y, names), hp=hp)
+        assert prev.feature.tolist() == [0, -1, 1, -1, 2, -1, -1]
+        split_rows.clear()
+        model = _grow(Presorted(X, y, names).drop(2), hp=hp, prev=prev, dropped=2)
+        searches = list(split_rows)
+        want = fit_tree(np.delete(X, 2, axis=1), y, names[:2] + names[3:], hp=hp)
+        assert model.to_json() == want.to_json()
+        # node 4 searches its new winner alone, then its subtree grows in full
+        n_rows = prev.counts[4].sum()
+        assert searches[0] == (1, n_rows) and len(searches) > 1
+        assert all(rows < n_rows for _, rows in searches[1:])
+
+    def test_winner_changes_through_the_new_tie_order_alone(self):
+        # two copies of one column tie at every node; dropping a constant third
+        # column reorders them, so each node's winner moves to the other copy
+        rng = np.random.default_rng(2)
+        a = rng.integers(0, 6, size=80).astype(float)
+        y = ((a + rng.integers(0, 3, size=80)) > 4).astype(int)
+        X = np.column_stack([a, a, np.zeros(80)])
+        seed = next(s for s in range(100)
+                    if (_first_column(s, 3), _first_column(s, 2)) == (0, 1))
+        prev = _grow(Presorted(X, y, ["a", "copy", "flat"]), seed=seed)
+        split = np.flatnonzero(prev.feature >= 0)
+        assert len(split) and set(prev.feature[split]) == {0}
+        assert not any(2 in _ties(prev, node) for node in split)
+        model = _grow(Presorted(X[:, :2], y, ["a", "copy"]), seed=seed, prev=prev, dropped=2)
+        assert set(model.feature[split]) == {1}
+        assert model.to_json() == fit_tree(X[:, :2], y, ["a", "copy"], seed=seed).to_json()
+
+    def test_dropped_winner_collides_with_its_neighbours_new_index(self):
+        # the root splits on column 0; without it, column 1 takes index 0, so a
+        # plan comparing shifted indices alone would keep the root and its
+        # threshold, which belongs to the dropped column
+        x = np.arange(12, dtype=float)
+        y = (x > 6).astype(int)
+        X = np.column_stack([x, 100.0 - 3.0 * x])
+        seed = next(s for s in range(100) if _first_column(s, 2) == 0)
+        prev = _grow(Presorted(X, y, ["x", "mirror"]), seed=seed)
+        assert prev.feature[0] == 0 and list(_ties(prev, 0)) == [0, 1]
+        model = _grow(Presorted(X[:, 1:], y, ["mirror"]), seed=seed, prev=prev, dropped=0)
+        assert not model._reused
+        assert model.to_json() == fit_tree(X[:, 1:], y, ["mirror"], seed=seed).to_json()
 
     def test_refit_cannot_subsample_features(self):
         X = np.arange(8, dtype=float).reshape(4, 2)
