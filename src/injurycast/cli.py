@@ -22,7 +22,11 @@ from .tree import DecisionTreeModel, fit_tree
 
 
 def _write(path, text):
+    """Write text as UTF-8, the encoding every reader uses, to path or to standard
+    output (None or "-"), whatever the locale's encoding is."""
     if path is None or path == "-":
+        if hasattr(sys.stdout, "reconfigure"):  # io.StringIO and the like hold str
+            sys.stdout.reconfigure(encoding="utf-8")
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:

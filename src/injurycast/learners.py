@@ -107,11 +107,13 @@ def fit_logit(table, l2: float = 1e-3, max_iter: int = 5000, tol: float = 1e-6,
     return LinearModel(w, b, list(table.feature_names), max_iter, gnorm)
 
 
-def _cv_folds(table, folds, seed):
+def _cv_folds(table, folds, seed, data=None):
     """Seeded stratified k-fold of `table` as (train, test) pairs: the training
-    rows presorted (tree.Presorted) and the test rows a table. A search builds
-    them once, so each training side is sorted once for all its fits."""
-    return [(Presorted(table.take(train_idx)), table.take(test_idx))
+    rows presorted (tree.Presorted) and the test rows a table. Each training side
+    is taken from `data`, the whole table presorted (built here when not given),
+    so one sort serves every fold and every fit of a search."""
+    data = Presorted(table) if data is None else data
+    return [(data.take(train_idx), table.take(test_idx))
             for train_idx, test_idx in stratified_kfold(table.y, folds, seed)]
 
 
@@ -119,8 +121,9 @@ def _f1(y, pred):
     return metrics(ConfusionMatrix.from_predictions(y, pred))["injury"]["f1"]
 
 
-def _injury_f1(model, test):
-    return _f1(test.y, model.predict(test.X)[0])
+def _injury_f1(model, test, columns=slice(None)):
+    """Injury F1 of model on the test table's `columns` (all by default)."""
+    return _f1(test.y, model.predict(test.X[:, columns])[0])
 
 
 def tune(table, grid=None, folds: int = 2, seed: int = 0) -> TreeHyperParams:
@@ -178,10 +181,11 @@ def rfecv(table, hp: TreeHyperParams = TreeHyperParams(max_depth=5),
     the previous size (tree._grow), which searches only under the nodes whose
     winner the drop changes; the models are the ones fit_tree would give. A
     fold tree that the drop leaves unchanged (_reused) keeps its previous F1
-    without routing the test fold again.
+    without routing the test fold again. Narrowing shares every sorted column
+    (Presorted.drop), and a test fold is narrowed only when it is routed.
     """
-    cv = _cv_folds(table, folds, seed)
     data = Presorted(table)
+    cv = _cv_folds(table, folds, seed, data)
     fold_models = [None] * len(cv)
     fold_f1 = [None] * len(cv)
     model = None
@@ -192,7 +196,7 @@ def rfecv(table, hp: TreeHyperParams = TreeHyperParams(max_depth=5),
         names = data.feature_names
         fold_models = [_grow(train, hp=hp, seed=seed, prev=prev, dropped=dropped)
                        for (train, _), prev in zip(cv, fold_models)]
-        fold_f1 = [f1 if m._reused else _injury_f1(m, test)
+        fold_f1 = [f1 if m._reused else _injury_f1(m, test, data.live)
                    for m, f1, (_, test) in zip(fold_models, fold_f1, cv)]
         trace[len(names)] = float(np.mean(fold_f1))
         subsets[len(names)] = names
@@ -205,7 +209,6 @@ def rfecv(table, hp: TreeHyperParams = TreeHyperParams(max_depth=5),
         dropped = min(range(len(names)), key=lambda i: (imp.get(names[i], 0.0), i))
         # narrowing keeps each column's sorted order: nothing is sorted again
         data = data.drop(dropped)
-        cv = [(train.drop(dropped), test.select_features(data.feature_names))
-              for train, test in cv]
+        cv = [(train.drop(dropped), test) for train, test in cv]
     best_size = min(trace, key=lambda s: (-trace[s], s))
     return FeatureSubset(subsets[best_size], trace)

@@ -199,10 +199,12 @@ class DecisionTreeModel:
 
 
 class Presorted:
-    """A training set as the tree grows from it: the columns as a C-ordered (p, n)
+    """A training set as the tree grows from it: the columns as a C-ordered (P, n)
     matrix `cols`, each column's row indices in ascending order, ties in row order
-    (`rows`, SLIQ's presorted attribute lists), the labels `y` and the column
-    names. Sorted once; every fit on these rows shares it and none changes it.
+    (`rows`, SLIQ's presorted attribute lists), the labels `y`, and `live`, the
+    indices into cols and rows of the p columns the set holds, named
+    `feature_names`. Sorted once; every fit on these rows shares it and none
+    changes it.
     """
 
     def __init__(self, table_or_X, y=None, feature_names=None):
@@ -221,19 +223,49 @@ class Presorted:
         self.cols = np.ascontiguousarray(X.T)
         self.rows = np.argsort(self.cols, axis=1, kind="stable")
         self.y = y
+        self.live = np.arange(len(self.cols))
         self.feature_names = list(feature_names)
 
     def drop(self, j) -> "Presorted":
-        """The same rows without column j, sorted as before: the next size of a
-        recursive feature elimination, one copy of the remaining columns."""
+        """The same rows without live column j, sorted as before: the next size of
+        a recursive feature elimination. It shares cols and rows with this set."""
         out = copy.copy(self)
-        out.cols = np.delete(self.cols, j, axis=0)
-        out.rows = np.delete(self.rows, j, axis=0)
+        out.live = np.delete(self.live, j)
         out.feature_names = self.feature_names[:j] + self.feature_names[j + 1:]
         return out
 
+    def take(self, idx) -> "Presorted":
+        """The rows idx (ascending) of this set, renumbered 0..len(idx)-1 in that
+        order: each column's sorted rows filtered stably, so ties keep their row
+        order and nothing is sorted again (Presorted of the taken table)."""
+        keep = np.zeros(len(self.y), dtype=bool)
+        keep[idx] = True
+        renumber = np.cumsum(keep) - 1
+        out = copy.copy(self)
+        out.cols = np.ascontiguousarray(self.cols[:, idx])
+        out.rows = renumber.take(self.rows[keep.take(self.rows)]).reshape(len(self.rows), -1)
+        out.y = self.y[idx]
+        return out
 
-def _best_split(sv, sy, min_leaf):
+
+def _shaped(buf, shape):
+    """The first values of a flat buffer as a C-ordered array of `shape`."""
+    return buf[:shape[0] * shape[1]].reshape(shape)
+
+
+def _gini(pos, sizes, tmp):
+    """1 - ((pos / sizes)**2 + ((sizes - pos) / sizes)**2), the same operations on
+    the same values as that expression, written into pos; tmp is overwritten."""
+    np.subtract(sizes, pos, out=tmp)
+    np.divide(tmp, sizes, out=tmp)
+    np.square(tmp, out=tmp)
+    np.divide(pos, sizes, out=pos)
+    np.square(pos, out=pos)
+    np.add(pos, tmp, out=pos)
+    return np.subtract(1.0, pos, out=pos)
+
+
+def _best_split(sv, sy, min_leaf, scratch):
     """Best split of one node over its candidate features, in one vectorised pass.
 
     Row j of sv holds the node's values of candidate j in ascending order and
@@ -242,22 +274,35 @@ def _best_split(sv, sy, min_leaf):
     candidate and within it to the first position, or None when no candidate
     has a valid split. row_min[j] is candidate j's own minimum (inf without a
     valid split); it depends only on row j of sv and sy.
+
+    Every (candidates × rows) intermediate is written into `scratch`, three
+    float and one bool flat buffer of at least sv.size values each, allocated
+    once per fit (_grow) and overwritten here; sv and sy are left as they are.
     """
-    n = sv.shape[1]
+    c, n = sv.shape
     lo, hi = min_leaf - 1, n - min_leaf  # left child of i + 1 rows, i in [lo, hi)
     if hi <= lo:
         return None
-    cum_pos = np.cumsum(sy, axis=1, dtype=float)  # exact: counts stay far below 2**53
+    cum_buf, right_buf, tmp_buf, mask_buf = scratch
+    # exact: counts stay far below 2**53
+    cum_pos = np.cumsum(sy, axis=1, dtype=float, out=_shaped(cum_buf, (c, n)))
 
+    shape = (c, hi - lo)
     sizes_l = np.arange(lo + 1, hi + 1, dtype=float)
-    valid = sv[:, lo:hi] < sv[:, lo + 1:hi + 1]
+    invalid = np.less(sv[:, lo:hi], sv[:, lo + 1:hi + 1], out=_shaped(mask_buf, shape))
+    np.logical_not(invalid, out=invalid)
     pos_l = cum_pos[:, lo:hi]
-    pos_r = cum_pos[:, -1:] - pos_l
+    pos_r = np.subtract(cum_pos[:, -1:], pos_l, out=_shaped(right_buf, shape))
     sizes_r = n - sizes_l
-    gini_l = 1.0 - ((pos_l / sizes_l) ** 2 + ((sizes_l - pos_l) / sizes_l) ** 2)
-    gini_r = 1.0 - ((pos_r / sizes_r) ** 2 + ((sizes_r - pos_r) / sizes_r) ** 2)
-    weighted = (sizes_l * gini_l + sizes_r * gini_r) / n
-    weighted = np.where(valid, weighted, np.inf)
+    tmp = _shaped(tmp_buf, shape)
+    gini_l = _gini(pos_l, sizes_l, tmp)
+    gini_r = _gini(pos_r, sizes_r, tmp)
+    # (sizes_l * gini_l + sizes_r * gini_r) / n, inf where the split is invalid
+    weighted = np.multiply(sizes_l, gini_l, out=tmp)
+    np.multiply(sizes_r, gini_r, out=gini_r)
+    np.add(weighted, gini_r, out=weighted)
+    np.divide(weighted, n, out=weighted)
+    np.copyto(weighted, np.inf, where=invalid)
     # the first candidate holding the minimum, at its first position
     row_min = weighted.min(axis=1)
     j = int(np.argmin(row_min))
@@ -329,16 +374,22 @@ def _grow(data: Presorted, hp: TreeHyperParams = TreeHyperParams(), seed: int = 
     fit_tree would, byte for byte (recursive feature elimination refits this way).
 
     A refit keeps each node of prev that _refit_plan does not mark changed and
-    walks rows only down the paths to changed nodes; every other node takes its
-    counts from prev. A changed node reads its winner and child impurity from
-    the minima and searches that one column for the threshold; the subtree
-    under it is grown in full. A refit that changes no node is prev with the
-    column removed, marked _reused.
+    walks only the paths to changed nodes, each node there holding a mask of its
+    rows; every other node takes its counts from prev. A changed node reads its
+    winner and child impurity from the minima and searches that one column for
+    the threshold; the subtree under it is grown in full. A refit that changes
+    no node is prev with the column removed, marked _reused.
+
+    A narrowed data (Presorted.drop) is read through its live columns: a fit
+    gathers their sorted rows once, when a node first searches them, and a
+    node under a changed one filters them by its mask, so no kept node copies
+    a (columns × rows) array. The node searches write into one block of
+    buffers allocated per call.
     """
     if prev is not None and max_features is not None:
         raise ValueError("a refit from a previous tree cannot subsample features")
-    cols, y = data.cols, data.y
-    p, n_total = cols.shape
+    cols, y, live = data.cols, data.y, data.live
+    p, n_total = len(live), cols.shape[1]
 
     rng = np.random.default_rng(seed)
     feature_order = rng.permutation(p)
@@ -360,16 +411,30 @@ def _grow(data: Presorted, hp: TreeHyperParams = TreeHyperParams(), seed: int = 
     raw_importance = np.zeros(p)
     memo = {}  # split node -> its row of model._minima
     goes_left = np.zeros(n_total, dtype=bool)  # reused: a split reads only its own rows
-    offsets = np.arange(p)[:, None] * n_total  # rows[f] + offsets[f] index cols.ravel()
-    # (sorted rows or None where no node below changes, depth, parent, parent's
-    # link, prev's node with these rows or -1)
-    stack = [(data.rows, 0, -1, model.left, 0 if prev is not None else -1)]
+    offsets = live[:, None] * n_total  # rows[f] + offsets[f] index cols.ravel()
+    all_rows = data.rows if p == len(data.rows) else None  # live rows, gathered on use
+    # the most rows a search reads: a refit searches only at and under changed nodes
+    n_max = n_total if prev is None else prev.counts[changed].sum(axis=1).max()
+    size = (p if max_features is None else min(max_features, p)) * n_max
+    # every (candidates × rows) array of the searches, in one block that nodes
+    # reuse (and the allocator keeps for the next fit): each node's sorted rows,
+    # labels and values, and _best_split's scratch; the row indices are dead
+    # once the labels and values are taken, so the scratch reuses their row
+    block = np.empty((5, size))
+    gathered, sy_buf, sv_buf = block[0].view(np.intp), block[1].view(y.dtype), block[2]
+    scratch = (block[0], *block[3:], np.empty(size, dtype=bool))
+    # (the node's sorted rows, or None; else a mask of its rows, or None where
+    # no node below changes; depth, parent, parent's link, prev's node with
+    # these rows or -1). A new node has sorted rows or a mask; a kept one a
+    # mask or nothing.
+    stack = [(None, np.ones(n_total, dtype=bool), 0, -1, model.left,
+              0 if prev is not None else -1)]
     while stack:
-        rows, depth, parent, link, old = stack.pop()
+        rows, member, depth, parent, link, old = stack.pop()
         if old >= 0:
             counts = prev.counts[old]
         else:
-            ones = y.take(rows[0])
+            ones = y.take(rows[0]) if rows is not None else y[member]
             counts = (len(ones) - ones.sum(), ones.sum())
         n = counts[0] + counts[1]
         node_id = model._add_node(counts, depth)
@@ -398,29 +463,40 @@ def _grow(data: Presorted, hp: TreeHyperParams = TreeHyperParams(), seed: int = 
                 best_thr = float(prev.threshold[old])
                 children = (int(prev.left[old]), int(prev.right[old]))
         else:
+            if rows is None:  # the root, or a new node under a changed one
+                if all_rows is None:
+                    all_rows = data.rows[live]
+                rows = (all_rows if n == n_total else
+                        np.compress(member.take(all_rows).ravel(), all_rows).reshape(p, -1))
+                member = None
             cand = feature_order
             if max_features is not None and max_features < p:
                 cand = rng.choice(p, size=max_features, replace=False)
-            cand_rows = rows[cand]
-            sv = cols.take(cand_rows + offsets[cand])
-            split = _best_split(sv, y.take(cand_rows), hp.min_samples_leaf)
+            # mode="clip" (indices are in range) lets take write into out unbuffered
+            shape = (len(cand), rows.shape[1])
+            index = np.take(rows, cand, axis=0, out=_shaped(gathered, shape), mode="clip")
+            sy = np.take(y, index, out=_shaped(sy_buf, shape), mode="clip")
+            np.add(index, offsets[cand], out=index)
+            sv = np.take(cols, index, out=_shaped(sv_buf, shape), mode="clip")
+            split = _best_split(sv, sy, hp.min_samples_leaf, scratch)
             if split is None:
                 continue
             j, best_thr, best_child_imp, row_min = split
             best_feat = int(cand[j])
             memo_row = row_min[rank] if max_features is None else None
             children = (-1, -1)
-            goes_left[cand_rows[j]] = sv[j] <= best_thr
+            goes_left[rows[best_feat]] = sv[j] <= best_thr
         decrease = impurity - best_child_imp
         if decrease <= 1e-12:
             continue
-        if old >= 0 and rows is not None:
-            win_rows = rows[best_feat]
-            sv = cols[best_feat].take(win_rows)
+        if member is not None:
+            column = cols[live[best_feat]]
             if best_thr is None:  # a changed node: search its winner alone
-                best_thr = _best_split(sv[None], y.take(win_rows)[None],
-                                       hp.min_samples_leaf)[1]
-            goes_left[win_rows] = sv <= best_thr
+                win_rows = data.rows[live[best_feat]]
+                win_rows = win_rows[member.take(win_rows)]
+                best_thr = _best_split(column.take(win_rows)[None], y.take(win_rows)[None],
+                                       hp.min_samples_leaf, scratch)[1]
+            left = column <= best_thr
 
         model.feature[node_id] = best_feat
         model.threshold[node_id] = best_thr
@@ -430,13 +506,15 @@ def _grow(data: Presorted, hp: TreeHyperParams = TreeHyperParams(), seed: int = 
         if rows is not None:
             left = goes_left.take(rows).ravel()
         # right is pushed first so the left subtree is grown first: preorder ids;
-        # a kept child with no changed node below it gets no rows
+        # a kept child with no changed node below it gets neither rows nor mask
         for child, child_link, go_left in ((children[1], model.right, False),
                                            (children[0], model.left, True)):
-            child_rows = None
-            if rows is not None and (child < 0 or walk[child]):
+            child_rows = child_member = None
+            if rows is not None:
                 child_rows = np.compress(left == go_left, rows).reshape(p, -1)
-            stack.append((child_rows, depth + 1, node_id, child_link, child))
+            elif member is not None and (child < 0 or walk[child]):
+                child_member = member & (left == go_left)
+            stack.append((child_rows, child_member, depth + 1, node_id, child_link, child))
 
     model._finalize()
     model._raw_importance = raw_importance

@@ -222,7 +222,7 @@ def test_artifacts_are_utf8_under_an_ascii_locale(tmp_path, season_files):
 
     def cli(*argv):
         return subprocess.run([sys.executable, "-m", "injurycast.cli", *argv], env=env,
-                              cwd=tmp_path, capture_output=True, text=True)
+                              cwd=tmp_path, capture_output=True, encoding="utf-8")
     encoding = subprocess.run(
         [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
         env=env, capture_output=True, text=True).stdout.strip()
@@ -240,6 +240,9 @@ def test_artifacts_are_utf8_under_an_ascii_locale(tmp_path, season_files):
     done = cli("rules", "--model", "m.json", "--format", "text", "--out", "rules.txt")
     assert done.returncode == 0, done.stderr
     assert "l\xe4st" in (tmp_path / "rules.txt").read_text(encoding="utf-8")
+    done = cli("rules", "--model", "m.json", "--format", "text")
+    assert done.returncode == 0, done.stderr
+    assert "l\xe4st" in done.stdout
 
 
 class TestGenerateIngest:

@@ -204,7 +204,8 @@ class TestRfecv:
 
 def test_skipped_refit_searches_and_routes_nothing(monkeypatch):
     # "flat" is constant: no split, no tie set and no importance, so rfecv drops
-    # it first and every fold tree at size 1 is its size-2 tree
+    # it first and every fold tree at size 1 is its size-2 tree. Narrowing copies
+    # no (columns × rows) array and no test fold.
     rng = np.random.default_rng(3)
     x = rng.normal(size=120)
     y = (x + rng.normal(scale=0.5, size=120) > 0).astype(int)
@@ -214,6 +215,8 @@ def test_skipped_refit_searches_and_routes_nothing(monkeypatch):
     calls = []
     real_grow, real_split = learners._grow, tree._best_split
     real_predict = tree.DecisionTreeModel.predict
+    real_select, real_delete = TrainingTable.select_features, np.delete
+    n_rows = {len(table)} | {len(train) for train, _ in stratified_kfold(table.y, 3, 0)}
 
     def grow(*args, **kwargs):
         calls.append("refit" if kwargs.get("prev") is not None else "fit")
@@ -226,7 +229,18 @@ def test_skipped_refit_searches_and_routes_nothing(monkeypatch):
     def predict(self, X):
         calls.append("predict")
         return real_predict(self, X)
+
+    def select(self, names):
+        calls.append("select")
+        return real_select(self, names)
+
+    def delete(arr, *args, **kwargs):
+        if n_rows & set(np.shape(arr)):
+            calls.append("delete")
+        return real_delete(arr, *args, **kwargs)
     monkeypatch.setattr(learners, "_grow", grow)
+    monkeypatch.setattr(TrainingTable, "select_features", select)
+    monkeypatch.setattr(np, "delete", delete)
     monkeypatch.setattr(tree, "_best_split", split)
     monkeypatch.setattr(tree.DecisionTreeModel, "predict", predict)
     got = rfecv(table, hp=hp, folds=3, seed=0)
@@ -235,6 +249,7 @@ def test_skipped_refit_searches_and_routes_nothing(monkeypatch):
     # size 1: three refits that neither search nor route
     assert calls.count("predict") == 3
     assert calls[calls.index("refit"):] == ["refit"] * 3
+    assert "select" not in calls and "delete" not in calls
     assert got.score_trace[1] == got.score_trace[2]
 
 

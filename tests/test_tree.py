@@ -7,9 +7,10 @@ from hypothesis.extra import numpy as hnp
 from injurycast import tree
 from injurycast.data_model import assign_labels
 from injurycast.errors import EmptyNode, EmptyTable, MissingFeature
-from injurycast.features import build_training_table
+from injurycast.features import TrainingTable, build_training_table
 from injurycast.generator import GeneratorConfig, generate
 from injurycast.learners import default_grid
+from injurycast.metrics import stratified_kfold
 from injurycast.resampling import ResamplingConfig, adasyn
 from injurycast.tree import (DecisionTreeModel, Presorted, TreeHyperParams, _grow, fit_tree,
                              gini)
@@ -395,15 +396,168 @@ class TestPresorted:
 
     @pytest.mark.parametrize("j", [0, 2, 4])
     def test_drop_equals_a_fresh_value_without_the_column(self, j):
+        # chained drops read the parent's matrices through `live` and copy neither
         X = np.random.default_rng(4).integers(0, 5, size=(50, 5)).astype(float)
         y = (np.arange(50) % 3 == 0).astype(int)
         names = [f"c{i}" for i in range(5)]
-        got = Presorted(X, y, names).drop(j)
-        want = Presorted(np.delete(X, j, axis=1), y, names[:j] + names[j + 1:])
-        assert got.cols.flags.c_contiguous
-        np.testing.assert_array_equal(got.cols, want.cols)
-        np.testing.assert_array_equal(got.rows, want.rows)
-        assert got.feature_names == want.feature_names
+        full = Presorted(X, y, names)
+        got, kept = full, list(range(5))
+        for k in (j, 1, 2):
+            got = got.drop(k)
+            kept.pop(k)
+            want = Presorted(X[:, kept], y, [names[i] for i in kept])
+            assert np.shares_memory(got.cols, full.cols)
+            assert np.shares_memory(got.rows, full.rows)
+            np.testing.assert_array_equal(got.cols[got.live], want.cols)
+            np.testing.assert_array_equal(got.rows[got.live], want.rows)
+            assert got.feature_names == want.feature_names
+
+    @pytest.mark.parametrize("max_features", [None, 2])
+    def test_grow_on_a_narrowed_set_equals_a_fit_on_the_selected_columns(self,
+                                                                         max_features):
+        rng = np.random.default_rng(6)
+        X = rng.integers(0, 4, size=(90, 6)).astype(float)
+        X[:, 4] = X[:, 1]
+        t = table_of(X, rng.integers(0, 2, size=90))
+        data, names = Presorted(t), list(t.feature_names)
+        for k in (3, 0, 2, 1):
+            data = data.drop(k)
+            names.pop(k)
+            for hp in (TreeHyperParams(), TreeHyperParams(max_depth=3, min_samples_leaf=4)):
+                got = _grow(data, hp=hp, seed=k, max_features=max_features)
+                want = fit_tree(t.select_features(names), hp=hp, seed=k,
+                                max_features=max_features)
+                assert got.to_json() == want.to_json(), (names, hp)
+
+    def test_take_equals_a_presorted_taken_table(self):
+        # few distinct values: long runs of ties, which must keep their row order
+        rng = np.random.default_rng(9)
+        X = rng.integers(0, 3, size=(70, 4)).astype(float)
+        X[:, 2] = X[:, 0]
+        t = table_of(X, rng.integers(0, 2, size=70))
+        data = Presorted(t)
+        folds = stratified_kfold(t.y, 3, 1)
+        for idx in [train for train, _ in folds] + [np.sort(rng.choice(70, 9, replace=False))]:
+            got, want = data.take(idx), Presorted(t.take(idx))
+            assert got.cols.flags.c_contiguous
+            for name in ("cols", "rows", "y", "live"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            assert got.feature_names == want.feature_names
+
+
+def table_of(X, y):
+    return TrainingTable([f"f{i}" for i in range(X.shape[1])], X, y,
+                         [""] * len(y), [None] * len(y))
+
+
+def reference_best_split(sv, sy, min_leaf):
+    """_best_split as it was before its buffers: every intermediate a new array.
+    The buffered search must return the same values bit for bit."""
+    n = sv.shape[1]
+    lo, hi = min_leaf - 1, n - min_leaf  # left child of i + 1 rows, i in [lo, hi)
+    if hi <= lo:
+        return None
+    cum_pos = np.cumsum(sy, axis=1, dtype=float)  # exact: counts stay far below 2**53
+
+    sizes_l = np.arange(lo + 1, hi + 1, dtype=float)
+    valid = sv[:, lo:hi] < sv[:, lo + 1:hi + 1]
+    pos_l = cum_pos[:, lo:hi]
+    pos_r = cum_pos[:, -1:] - pos_l
+    sizes_r = n - sizes_l
+    gini_l = 1.0 - ((pos_l / sizes_l) ** 2 + ((sizes_l - pos_l) / sizes_l) ** 2)
+    gini_r = 1.0 - ((pos_r / sizes_r) ** 2 + ((sizes_r - pos_r) / sizes_r) ** 2)
+    weighted = (sizes_l * gini_l + sizes_r * gini_r) / n
+    weighted = np.where(valid, weighted, np.inf)
+    # the first candidate holding the minimum, at its first position
+    row_min = weighted.min(axis=1)
+    j = int(np.argmin(row_min))
+    best = row_min[j]
+    if best == np.inf:
+        return None
+    i = int(np.argmin(weighted[j]))
+    threshold = 0.5 * (sv[j, lo + i] + sv[j, lo + i + 1])
+    return j, float(threshold), float(best), row_min
+
+
+class TestBufferedSplit:
+    """_best_split into per-fit buffers must equal reference_best_split bit for bit."""
+
+    @staticmethod
+    def _node(values, labels):
+        order = np.argsort(values, axis=1, kind="stable")
+        return (np.take_along_axis(values, order, axis=1),
+                np.take_along_axis(labels, order, axis=1))
+
+    @staticmethod
+    def _assert_bit_equal(sv, sy, min_leaf, room):
+        # scratch larger than the node and filled with garbage, as a fit's
+        # buffers are after a bigger node's search
+        scratch = (np.full(room, np.nan), np.full(room, -np.inf), np.full(room, 7.5),
+                   np.ones(room, dtype=bool))
+        before = sv.copy(), sy.copy()
+        got = tree._best_split(sv, sy, min_leaf, scratch)
+        want = reference_best_split(sv, sy, min_leaf)
+        np.testing.assert_array_equal(sv, before[0])
+        np.testing.assert_array_equal(sy, before[1])
+        if want is None:
+            assert got is None
+            return
+        j, thr, imp, row_min = got
+        assert (j, np.float64(thr).tobytes(), np.float64(imp).tobytes()) == (
+            want[0], np.float64(want[1]).tobytes(), np.float64(want[2]).tobytes())
+        assert row_min.tobytes() == want[3].tobytes()
+
+    @pytest.mark.parametrize("min_leaf", [1, 2, 5])
+    def test_random_and_tied_values(self, min_leaf):
+        rng = np.random.default_rng(min_leaf)
+        for trial in range(60):
+            c, n = int(rng.integers(1, 8)), int(rng.integers(2, 120))
+            values = (rng.normal(size=(c, n)) if trial % 2
+                      else rng.integers(0, 4, size=(c, n)).astype(float))
+            labels = rng.integers(0, 2, size=(c, n))
+            sv, sy = self._node(values, labels)
+            self._assert_bit_equal(sv, sy, min_leaf, c * n + int(rng.integers(0, 50)))
+
+    def test_constant_columns_beside_a_splittable_one(self):
+        rng = np.random.default_rng(3)
+        values = np.vstack([np.full(40, 2.0), rng.normal(size=40), np.zeros(40)])
+        sv, sy = self._node(values, np.tile(rng.integers(0, 2, size=40), (3, 1)))
+        self._assert_bit_equal(sv, sy, 1, 3 * 40)
+        self._assert_bit_equal(sv, sy, 3, 3 * 40)
+
+    @pytest.mark.parametrize("values, min_leaf", [
+        (np.full((3, 30), 1.0), 1),                    # every column constant
+        (np.array([[0.0] * 7 + [9.0]] * 2), 2),        # the one boundary leaves 1 row
+        (np.arange(8.0)[None].repeat(2, axis=0), 5),   # hi <= lo: no position at all
+    ], ids=["constant", "child-below-min-leaf", "too-few-rows"])
+    def test_no_valid_split(self, values, min_leaf):
+        sy = np.arange(values.size).reshape(values.shape) % 2
+        assert reference_best_split(values, sy, min_leaf) is None
+        self._assert_bit_equal(values, sy, min_leaf, values.size * 3)
+
+    def test_node_slices_of_a_fit(self, balanced_season):
+        # the nodes of a real fit, each searched with buffers sized for its root
+        t = balanced_season
+        data = Presorted(t)
+        model = fit_tree(t, hp=TreeHyperParams(max_depth=4), seed=1)
+        room = data.rows.size
+        for node in range(model.n_nodes):
+            rows = self._rows_at(model, t.X, node)
+            sv, sy = self._node(t.X[rows].T.copy(), np.tile(t.y[rows], (t.X.shape[1], 1)))
+            for min_leaf in (1, 4):
+                self._assert_bit_equal(sv, sy, min_leaf, room)
+
+    @staticmethod
+    def _rows_at(model, X, target):
+        rows = []
+        for r, x in enumerate(X):
+            node = 0
+            while node != target and model.feature[node] >= 0:
+                node = (model.left[node] if x[model.feature[node]] <= model.threshold[node]
+                        else model.right[node])
+            if node == target:
+                rows.append(r)
+        return np.array(rows)
 
 
 def _ties(model, node):
@@ -443,9 +597,9 @@ def split_rows(monkeypatch):
     calls = []
     real = tree._best_split
 
-    def counted(sv, sy, min_leaf):
+    def counted(sv, *args):
         calls.append(sv.shape)
-        return real(sv, sy, min_leaf)
+        return real(sv, *args)
     monkeypatch.setattr(tree, "_best_split", counted)
     return calls
 
