@@ -199,8 +199,9 @@ def _number(conv, positive=False):
 def parse_season(sessions_file, injuries_file, players_file) -> SeasonLog:
     """Parse and cross-validate the three season CSVs into a SeasonLog.
 
-    Raises MalformedRow (a value out of range or a player's second injury on
-    one date included), UnknownPlayer, DuplicateSession or NegativeWorkload;
+    Raises MalformedRow (a value out of range, a player's second injury on one
+    date or an absence ending after date.max included), UnknownPlayer,
+    DuplicateSession or NegativeWorkload;
     never silently drops a row.
     """
     finite, positive, positive_int = _number(float), _number(float, True), _number(int, True)
@@ -255,11 +256,12 @@ def parse_season(sessions_file, injuries_file, players_file) -> SeasonLog:
             raise MalformedRow(injuries_file, lineno, "onset_date",
                                f"'{pid}' already has an injury on {onset}")
         onsets.add((pid, onset))
-        injuries.append(InjuryRecord(
-            player_id=pid,
-            onset_date=onset,
-            days_absent=_field(injuries_file, lineno, row, "days_absent", positive_int),
-        ))
+        days = _field(injuries_file, lineno, row, "days_absent", positive_int)
+        if days > (dt.date.max - onset).days:
+            raise MalformedRow(injuries_file, lineno, "days_absent",
+                               f"an absence of {days} days from {onset} ends after "
+                               f"{dt.date.max}")
+        injuries.append(InjuryRecord(player_id=pid, onset_date=onset, days_absent=days))
 
     return SeasonLog(players=players, sessions=sessions, injuries=injuries)
 

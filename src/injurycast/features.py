@@ -97,13 +97,16 @@ class TrainingTable:
 
     @classmethod
     def from_csv(cls, path) -> "TrainingTable":
-        """Read a table written by to_csv; a short row or a cell that is not a
-        finite number raises MalformedRow with its line and column."""
+        """Read a table written by to_csv; a last column not named label, a short
+        row, a cell that is not a finite number or a label other than 0 and 1
+        raises MalformedRow with its line and column."""
         with open_utf8(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if not header:
                 raise MalformedRow(path, 1, "", "missing header")
+            if header[-1] != "label":
+                raise MalformedRow(path, 1, header[-1], "the last column must be 'label'")
             off = 3 if header[0] == "player_id" else 0
             names = header[off:-1]
             parsers = [str, lambda text: dt.date.fromisoformat(text) if text else None,
@@ -130,6 +133,9 @@ class TrainingTable:
                 X.append(cells[off:-1])
                 y.append(cells[-1])
                 lines.append(reader.line_num)
+        bad = [i for i, label in enumerate(y) if label not in (0, 1)]
+        if bad:
+            raise MalformedRow(path, lines[bad[0]], "label", f"{y[bad[0]]} is not 0 or 1")
         X = np.array(X, dtype=float).reshape(len(y), len(names))
         bad = np.argwhere(~np.isfinite(X))
         if len(bad):

@@ -121,9 +121,11 @@ def _f1(y, pred):
     return metrics(ConfusionMatrix.from_predictions(y, pred))["injury"]["f1"]
 
 
-def _injury_f1(model, test, columns=slice(None)):
-    """Injury F1 of model on the test table's `columns` (all by default)."""
-    return _f1(test.y, model.predict(test.X[:, columns])[0])
+def _injury_f1(model, test, live=None):
+    """Injury F1 of model on the test table, whose column live[f] holds the model's
+    feature f (feature f itself by default); routing reads the columns in place."""
+    feature = None if live is None else live[model.feature]  # leaves read no column
+    return _f1(test.y, model._predict(test.X, model.feature < 0, feature)[0])
 
 
 def tune(table, grid=None, folds: int = 2, seed: int = 0) -> TreeHyperParams:
@@ -182,7 +184,8 @@ def rfecv(table, hp: TreeHyperParams = TreeHyperParams(max_depth=5),
     winner the drop changes; the models are the ones fit_tree would give. A
     fold tree that the drop leaves unchanged (_reused) keeps its previous F1
     without routing the test fold again. Narrowing shares every sorted column
-    (Presorted.drop), and a test fold is narrowed only when it is routed.
+    (Presorted.drop), and a changed fold tree routes the whole test fold through
+    the live columns, so no table is narrowed.
     """
     data = Presorted(table)
     cv = _cv_folds(table, folds, seed, data)

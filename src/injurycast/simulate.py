@@ -81,11 +81,10 @@ def week_of(date: dt.date, start: dt.date) -> int:
 def _week_tables(table, onset_by_row: dict, cutoff: dt.date):
     """Training rows up to the cutoff, labelled only with injuries whose onset is
     known by then, and the forecast rows of the next seven days with final labels."""
-    next_cutoff = cutoff + dt.timedelta(days=7)
     train = table.take(np.flatnonzero([d <= cutoff for d in table.dates]))
     onsets = (onset_by_row[(p, d)] for p, d in zip(train.player_ids, train.dates))
     train.y = train.y * np.array([o is not None and o <= cutoff for o in onsets], dtype=int)
-    forecast = table.take(np.flatnonzero([cutoff < d <= next_cutoff for d in table.dates]))
+    forecast = table.take(np.flatnonzero([0 < (d - cutoff).days <= 7 for d in table.dates]))
     return train, forecast
 
 
@@ -95,7 +94,8 @@ def walk_forward(log: SeasonLog, cfg: PipelineConfig = PipelineConfig(),
     week i (injuries not yet observed count as label 0) and predict week i+1.
 
     Weeks with fewer than two injury examples are flagged degenerate and
-    predict all-0. Returns one WeeklyOutcome per forecast week.
+    predict all-0. Returns one WeeklyOutcome per week i >= start_week whose
+    forecast week i+1 holds rows; a week with none is not forecast.
     """
     if start_week < 1:
         raise ValueError(f"start_week must be >= 1, got {start_week}")
@@ -115,7 +115,9 @@ def walk_forward(log: SeasonLog, cfg: PipelineConfig = PipelineConfig(),
 
     outcomes = []
     cum_cm = ConfusionMatrix(0, 0, 0, 0)
-    for week in range(start_week, n_weeks):
+    # week i forecasts the rows of week i + 1
+    weeks = {week_of(d, start) - 1 for d in table.dates}
+    for week in sorted(w for w in weeks if w >= start_week):
         cutoff = start + dt.timedelta(days=7 * week - 1)  # end of week `week`
         t_i, t_next = _week_tables(table, onset_by_row, cutoff)
 

@@ -95,24 +95,31 @@ class DecisionTreeModel:
                 f"expected {len(self.feature_names)} features, got {X.shape[1]}")
         return self._predict(X, self.feature < 0)
 
-    def _predict(self, X, stop):
-        """predict's result when routing ends at the first node where the per-node
-        mask stop holds (every leaf must hold it); X is a float (rows, p) array."""
+    def _predict(self, X, stop, feature=None):
+        """predict's result for the nodes where _apply stops each row."""
+        c = self.counts[self._apply(X, stop, feature)]
+        return (c[:, 1] > c[:, 0]).astype(int), c[:, 1] / c.sum(axis=1)
+
+    def _apply(self, X, stop, feature=None):
+        """The node where each row of the float (rows, ·) array X stops: routing
+        starts at the root and ends at the first node where the per-node mask stop
+        holds (every leaf must hold it). A split node sends a row left iff its
+        value in column feature[node] is <= the threshold; feature defaults to the
+        tree's own, and a map into wider columns (a narrowed set's `live`) reads
+        them in place. Only the rows still moving are gathered at each level."""
+        feature = self.feature if feature is None else feature
         node = np.zeros(len(X), dtype=int)
-        active = ~stop[node]
-        while np.any(active):
-            idx = np.flatnonzero(active)
-            f = self.feature[node[idx]]
-            go_left = X[idx, f] <= self.threshold[node[idx]]
-            node[idx] = np.where(go_left, self.left[node[idx]], self.right[node[idx]])
-            active = ~stop[node]
-        c = self.counts[node]
-        scores = c[:, 1] / c.sum(axis=1)
-        classes = (c[:, 1] > c[:, 0]).astype(int)
-        return classes, scores
+        idx = np.flatnonzero(~stop[node])
+        while len(idx):
+            at = node[idx]
+            at = np.where(X[idx, feature[at]] <= self.threshold[at],
+                          self.left[at], self.right[at])
+            node[idx] = at
+            idx = idx[~stop[at]]
+        return node
 
     def _cut(self, max_depth, min_samples_split):
-        """Stop mask (for _predict) of this tree cut back to max_depth and
+        """Stop mask (for _apply) of this tree cut back to max_depth and
         min_samples_split, both no looser than the tree's own.
 
         With no feature subsampling a node's split does not depend on max_depth
@@ -342,8 +349,7 @@ def _refit_plan(prev: DecisionTreeModel, dropped: int, rank):
     column a full search would pick there (the first in feature_order at the
     row minimum: each entry is that column's own best split on the node's rows,
     which the drop leaves as they are); `changed`, the split nodes whose winner
-    is another column than before; `walk`, the changed nodes and their
-    ancestors, the only nodes whose rows a refit needs.
+    is another column than before.
     """
     minima = np.delete(prev._minima, dropped, axis=1)
     at_min = minima == minima.min(axis=1, keepdims=True)
@@ -352,18 +358,7 @@ def _refit_plan(prev: DecisionTreeModel, dropped: int, rank):
     # a dropped winner's shifted index is its right neighbour's new index, so it
     # is marked on its own
     changed = (old >= 0) & ((old == dropped) | (winner != old - (old > dropped)))
-    split = np.flatnonzero(old >= 0)
-    parent = np.full(len(old), -1)
-    parent[prev.left[split]] = split
-    parent[prev.right[split]] = split
-    walk = changed.copy()
-    up = np.flatnonzero(changed)
-    while len(up):
-        up = parent[up]
-        up = up[up >= 0]
-        up = up[~walk[up]]
-        walk[up] = True
-    return minima, winner, changed, walk
+    return minima, winner, changed
 
 
 def _grow(data: Presorted, hp: TreeHyperParams = TreeHyperParams(), seed: int = 0,
@@ -373,12 +368,13 @@ def _grow(data: Presorted, hp: TreeHyperParams = TreeHyperParams(), seed: int = 
     seed on these columns plus one more at index dropped, it returns the model
     fit_tree would, byte for byte (recursive feature elimination refits this way).
 
-    A refit keeps each node of prev that _refit_plan does not mark changed and
-    walks only the paths to changed nodes, each node there holding a mask of its
-    rows; every other node takes its counts from prev. A changed node reads its
-    winner and child impurity from the minima and searches that one column for
-    the threshold; the subtree under it is grown in full. A refit that changes
-    no node is prev with the column removed, marked _reused.
+    A refit keeps each node of prev that _refit_plan does not mark changed, with
+    prev's counts and no rows. It routes the training rows through prev once
+    (_apply), stopping at leaves and changed nodes, and each changed node takes
+    the mask of the rows that stop there. It reads its winner and child impurity
+    from the minima and searches that one column for the threshold; the
+    subtree under it is grown in full. A refit that changes no node is prev
+    with the column removed, marked _reused.
 
     A narrowed data (Presorted.drop) is read through its live columns: a fit
     gathers their sorted rows once, when a node first searches them, and a
@@ -397,7 +393,7 @@ def _grow(data: Presorted, hp: TreeHyperParams = TreeHyperParams(), seed: int = 
     rank[feature_order] = np.arange(p)
 
     if prev is not None:
-        minima, winner, changed, walk = _refit_plan(prev, dropped, rank)
+        minima, winner, changed = _refit_plan(prev, dropped, rank)
         if not changed.any():
             model = copy.copy(prev)
             model.feature_names = data.feature_names
@@ -406,6 +402,8 @@ def _grow(data: Presorted, hp: TreeHyperParams = TreeHyperParams(), seed: int = 
             model._minima = minima
             model._reused = True
             return model
+        # a kept node's winner is its own column, so prev routes as it did
+        reached = prev._apply(cols.T, (prev.feature < 0) | changed, live[winner])
 
     model = DecisionTreeModel(data.feature_names, hp)
     raw_importance = np.zeros(p)
@@ -423,12 +421,11 @@ def _grow(data: Presorted, hp: TreeHyperParams = TreeHyperParams(), seed: int = 
     block = np.empty((5, size))
     gathered, sy_buf, sv_buf = block[0].view(np.intp), block[1].view(y.dtype), block[2]
     scratch = (block[0], *block[3:], np.empty(size, dtype=bool))
-    # (the node's sorted rows, or None; else a mask of its rows, or None where
-    # no node below changes; depth, parent, parent's link, prev's node with
-    # these rows or -1). A new node has sorted rows or a mask; a kept one a
-    # mask or nothing.
-    stack = [(None, np.ones(n_total, dtype=bool), 0, -1, model.left,
-              0 if prev is not None else -1)]
+    # (the node's sorted rows, or None; else a mask of its rows, or None; depth,
+    # parent, parent's link, prev's node with these rows or -1). A new node has
+    # sorted rows or a mask; a kept one neither.
+    stack = [(None, None, 0, -1, model.left, 0) if prev is not None else
+             (None, np.ones(n_total, dtype=bool), 0, -1, model.left, -1)]
     while stack:
         rows, member, depth, parent, link, old = stack.pop()
         if old >= 0:
@@ -489,13 +486,13 @@ def _grow(data: Presorted, hp: TreeHyperParams = TreeHyperParams(), seed: int = 
         decrease = impurity - best_child_imp
         if decrease <= 1e-12:
             continue
-        if member is not None:
+        if best_thr is None:  # a changed node: search its winner alone
+            member = reached == old
             column = cols[live[best_feat]]
-            if best_thr is None:  # a changed node: search its winner alone
-                win_rows = data.rows[live[best_feat]]
-                win_rows = win_rows[member.take(win_rows)]
-                best_thr = _best_split(column.take(win_rows)[None], y.take(win_rows)[None],
-                                       hp.min_samples_leaf, scratch)[1]
+            win_rows = data.rows[live[best_feat]]
+            win_rows = win_rows[member.take(win_rows)]
+            best_thr = _best_split(column.take(win_rows)[None], y.take(win_rows)[None],
+                                   hp.min_samples_leaf, scratch)[1]
             left = column <= best_thr
 
         model.feature[node_id] = best_feat
@@ -505,14 +502,13 @@ def _grow(data: Presorted, hp: TreeHyperParams = TreeHyperParams(), seed: int = 
         raw_importance[best_feat] += (n / n_total) * decrease
         if rows is not None:
             left = goes_left.take(rows).ravel()
-        # right is pushed first so the left subtree is grown first: preorder ids;
-        # a kept child with no changed node below it gets neither rows nor mask
+        # right is pushed first so the left subtree is grown first: preorder ids
         for child, child_link, go_left in ((children[1], model.right, False),
                                            (children[0], model.left, True)):
             child_rows = child_member = None
             if rows is not None:
                 child_rows = np.compress(left == go_left, rows).reshape(p, -1)
-            elif member is not None and (child < 0 or walk[child]):
+            elif member is not None:
                 child_member = member & (left == go_left)
             stack.append((child_rows, child_member, depth + 1, node_id, child_link, child))
 

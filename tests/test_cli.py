@@ -162,6 +162,28 @@ BAD_INPUTS = {
                                     1, "raw_importance"),
     "start-week-0": (["simulate", *SEASON, "--seed", "0", "--start-week", "0",
                       "--out", "o.csv"], {}, 2, "--start-week"),
+    "table-last-column-not-label": (["train", "--table", "t.csv", "--seed", "0",
+                                     "--out", "m.json"], {"t.csv": "x,injured\n1.0,0\n"},
+                                    1, "t.csv:1 column 'injured'"),
+    "table-label-2-compare": (["compare", "--table", "t.csv", "--seed", "0"],
+                              {"t.csv": "x,label\n1.0,0\n2.0,2\n"},
+                              1, "t.csv:3 column 'label'"),
+    "table-label-2-rules": (["rules", "--model", "m.json", "--table", "t.csv"],
+                            {"m.json": model_json(), "t.csv": "x,label\n1.0,2\n"},
+                            1, "t.csv:2 column 'label'"),
+    "table-label-negative-train": (["train", "--table", "t.csv", "--seed", "0",
+                                    "--out", "m.json"], {"t.csv": "x,label\n1.0,-1\n"},
+                                   1, "t.csv:2 column 'label'"),
+    "absence-past-date-max-ingest": (["ingest", *SEASON],
+                                     {"injuries.csv": INJURIES + "P1,2014-01-07,999999999\n"},
+                                     1, "injuries.csv:2 column 'days_absent'"),
+    "absence-past-date-max-featurize": (
+        ["featurize", *SEASON, "--out", "t.csv"],
+        {"injuries.csv": INJURIES + "P1,9999-12-30,2\n"}, 1, "injuries.csv:2 column 'days_absent'"),
+    "absence-past-date-max-simulate": (
+        ["simulate", *SEASON, "--seed", "0", "--out", "o.csv"],
+        {"injuries.csv": INJURIES + "P1,2014-01-07,999999999\n"},
+        1, "injuries.csv:2 column 'days_absent'"),
 }
 
 

@@ -1,9 +1,11 @@
-"""The data layer imports nothing from the layers built on it.
+"""The data layer imports nothing from the layers built on it, and the tree
+nothing from the package but its errors.
 
 data_model and features describe seasons and feature tables; the tree, the
 learners, resampling, the pipeline and the walk-forward use them. An import the
 other way lets a table learn how a tree reads it, so this parses the two modules
-and fails on such an import.
+and fails on such an import. The tree owns routing and refits on arrays alone, so
+a tree.py that reaches for a table, a metric or a learner fails too.
 """
 import ast
 import pathlib
@@ -38,6 +40,13 @@ def test_data_layer_imports_no_upper_layer(name):
     assert path.exists()
     upward = package_modules_imported(path) & UPPER_LAYERS
     assert not upward, f"{name}.py imports from {sorted(upward)}"
+
+
+def test_tree_imports_only_errors():
+    path = SRC / "tree.py"
+    assert path.exists()
+    extra = package_modules_imported(path) - {"errors"}
+    assert not extra, f"tree.py imports from {sorted(extra)}"
 
 
 def test_the_check_sees_each_import_form(tmp_path):

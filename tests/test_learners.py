@@ -214,7 +214,7 @@ def test_skipped_refit_searches_and_routes_nothing(monkeypatch):
     want = reference_rfecv(table, hp=hp, folds=3, seed=0)
     calls = []
     real_grow, real_split = learners._grow, tree._best_split
-    real_predict = tree.DecisionTreeModel.predict
+    real_apply = tree.DecisionTreeModel._apply
     real_select, real_delete = TrainingTable.select_features, np.delete
     n_rows = {len(table)} | {len(train) for train, _ in stratified_kfold(table.y, 3, 0)}
 
@@ -226,9 +226,9 @@ def test_skipped_refit_searches_and_routes_nothing(monkeypatch):
         calls.append("search")
         return real_split(*args)
 
-    def predict(self, X):
-        calls.append("predict")
-        return real_predict(self, X)
+    def apply(self, *args):
+        calls.append("apply")
+        return real_apply(self, *args)
 
     def select(self, names):
         calls.append("select")
@@ -242,12 +242,12 @@ def test_skipped_refit_searches_and_routes_nothing(monkeypatch):
     monkeypatch.setattr(TrainingTable, "select_features", select)
     monkeypatch.setattr(np, "delete", delete)
     monkeypatch.setattr(tree, "_best_split", split)
-    monkeypatch.setattr(tree.DecisionTreeModel, "predict", predict)
+    monkeypatch.setattr(tree.DecisionTreeModel, "_apply", apply)
     got = rfecv(table, hp=hp, folds=3, seed=0)
     assert (got.names, got.score_trace) == (want.names, want.score_trace)
     # size 2: three fold fits, their three test folds and the importance fit;
     # size 1: three refits that neither search nor route
-    assert calls.count("predict") == 3
+    assert calls.count("apply") == 3
     assert calls[calls.index("refit"):] == ["refit"] * 3
     assert "select" not in calls and "delete" not in calls
     assert got.score_trace[1] == got.score_trace[2]

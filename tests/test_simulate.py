@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 from decimal import Decimal
 
@@ -109,6 +110,22 @@ class TestWalkForward:
         a = walk_forward(log, PipelineConfig(seed=0), start_week=6)
         b = walk_forward(log, PipelineConfig(seed=0), start_week=6)
         assert [o.to_dict() for o in a] == [o.to_dict() for o in b]
+
+    def test_a_far_future_session_forecasts_only_the_weeks_holding_rows(self,
+                                                                        small_season):
+        # one session moved to the last date opens about 417,000 empty weeks
+        log, _ = small_season
+        pid = sorted(log.sessions)[0]
+        far = dataclasses.replace(log.sessions[pid][-1], date=dt.date.max)
+        moved = SeasonLog(players=log.players, injuries=log.injuries,
+                          sessions={**log.sessions, pid: log.sessions[pid][:-1] + [far]})
+        outcomes = walk_forward(moved, PipelineConfig(seed=0), start_week=6)
+        start = season_start(moved)
+        table, _ = build_training_table(assign_labels(moved), moved.players)
+        holding = {week_of(d, start) - 1 for d in table.dates}
+        assert [o.week for o in outcomes] == sorted(w for w in holding if w >= 6)
+        assert outcomes[-1].week == week_of(dt.date.max, start) - 1
+        assert [d for _, d, *_ in outcomes[-1].predictions] == [dt.date.max]
 
     def test_to_dict_serializes(self, outcomes_and_log):
         outcomes, _ = outcomes_and_log

@@ -386,6 +386,46 @@ class TestRouting:
         np.testing.assert_array_equal(model._cut(5, 10), model.feature < 0)
 
 
+class TestApply:
+    """_apply through a narrowed set's live map stops each row where routing the
+    copied columns does, and where the fit counted it."""
+
+    @pytest.fixture(scope="class")
+    def narrowed(self):
+        rng = np.random.default_rng(9)
+        X = rng.integers(0, 6, size=(150, 7)).astype(float)
+        y = ((X[:, 1] + X[:, 4] - X[:, 6] + rng.integers(0, 4, size=150)) > 5).astype(int)
+        return X, y, Presorted(X, y).drop(0).drop(2)  # live columns 1, 2, 4, 5, 6
+
+    @staticmethod
+    def _routed(model, X, y, data, stop, feature):
+        got = model._apply(data.cols.T, stop, data.live[feature])
+        want = model._apply(np.ascontiguousarray(X[:, data.live]), stop, feature)
+        np.testing.assert_array_equal(got, want)
+        assert stop[got].all()
+        at = np.unique(got)
+        np.testing.assert_array_equal(np.bincount(got)[at], model.counts[at].sum(axis=1))
+        np.testing.assert_array_equal(np.bincount(got, weights=y)[at], model.counts[at, 1])
+
+    @pytest.mark.parametrize("cut", [None, (2, 2), (3, 40), (None, 25)])
+    def test_leaf_and_cut_stops(self, narrowed, cut):
+        X, y, data = narrowed
+        model = _grow(data, seed=1)
+        stop = model.feature < 0 if cut is None else model._cut(*cut)
+        self._routed(model, X, y, data, stop, model.feature)
+
+    def test_changed_node_stops(self, narrowed):
+        X, y, data = narrowed
+        p = len(data.live)
+        prev = _grow(data, seed=1)
+        below_root = 0
+        for dropped in range(p):
+            _, winner, changed = tree._refit_plan(prev, dropped, np.arange(p - 1))
+            self._routed(prev, X, y, data.drop(dropped), (prev.feature < 0) | changed, winner)
+            below_root += changed.any() and not changed[0]
+        assert below_root
+
+
 class TestPresorted:
     def test_order_is_stable_argsort_of_each_column(self):
         t = rand_table(n=30, p=3, n_pos=9, seed=3)
