@@ -3,9 +3,10 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import json
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import groupby, repeat
 
 import numpy as np
 
@@ -32,6 +33,17 @@ ACWR_CHRONIC_DAYS = 27
 MSWR_WINDOW_DAYS = 7
 ACWR_CAP = 5.0
 MSWR_CAP = 10.0
+# a player's day numbers are rank * _PLAYER_DAYS + date ordinal: wider apart than any
+# date range plus the longest window, so no window reaches another player's sessions
+_PLAYER_DAYS = dt.date.max.toordinal() + ACWR_CHRONIC_DAYS
+
+
+def _csv_cell(value) -> str:
+    """`value` as csv.writer writes it inside a row, quoted where it must be (a
+    row of one empty cell would be quoted, so the row written has two)."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([value, ""])
+    return buf.getvalue()[:-len(",\r\n")]
 
 
 @dataclass
@@ -80,20 +92,19 @@ class TrainingTable:
                              self.synthetic[indices])
 
     def to_csv(self, path, include_meta: bool = False) -> None:
+        """Write the table as csv.writer writes it, each value as repr(float), which
+        reads back bit for bit. Rows are converted and written one at a time."""
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
             meta = ["player_id", "date", "synthetic"] if include_meta else []
-            w.writerow(meta + list(self.feature_names) + ["label"])
-            for i in range(len(self)):
-                row = []
-                if include_meta:
-                    date = self.dates[i]
-                    row += [self.player_ids[i],
-                            date.isoformat() if date is not None else "",
-                            int(self.synthetic[i])]
-                row += [repr(float(v)) for v in self.X[i]]
-                row.append(int(self.y[i]))
-                w.writerow(row)
+            csv.writer(fh).writerow(meta + list(self.feature_names) + ["label"])
+            heads = repeat("")
+            if include_meta:
+                quoted = {pid: _csv_cell(pid) for pid in set(self.player_ids)}
+                heads = (f"{quoted[pid]},{'' if date is None else date.isoformat()},{flag:d},"
+                         for pid, date, flag in zip(self.player_ids, self.dates,
+                                                    self.synthetic.tolist()))
+            fh.writelines(f"{head}{','.join(map(repr, row.tolist() + [label]))}\r\n"
+                          for head, row, label in zip(heads, self.X, self.y.tolist()))
 
     @classmethod
     def from_csv(cls, path) -> "TrainingTable":
@@ -156,7 +167,8 @@ class BuildSummary:
 
 
 def ewma(series, span: int) -> np.ndarray:
-    """Recursive exponentially weighted moving average with decay 2/(span+1).
+    """Recursive exponentially weighted moving average with decay 2/(span+1), along
+    the first axis, so one call smooths every column of a (sessions x series) matrix.
 
     out[0] = series[0]; out[t] = alpha*series[t] + (1-alpha)*out[t-1].
     """
@@ -185,95 +197,133 @@ def pi_ewma(injury_counts, span: int = EWMA_SPAN) -> np.ndarray:
     return ewma(counts, span)
 
 
-def _window(dates, as_of: dt.date, days: int) -> slice:
-    """Positions of the ascending `dates` in [as_of - days + 1, as_of]."""
-    lo, hi = bisect_left(dates, as_of - dt.timedelta(days=days - 1)), bisect_right(dates, as_of)
-    if lo == hi:
-        raise MissingWindow(f"no sessions in the {days}-day window ending {as_of}")
-    return slice(lo, hi)
+def _window(days, as_of, length: int):
+    """Start and end positions, in the ascending day numbers `days`, of the windows
+    of `length` days ending on each day number of `as_of`. A day number is a date
+    ordinal (so no window start falls off the calendar) plus a multiple of
+    _PLAYER_DAYS. An empty window raises MissingWindow."""
+    lo = days.searchsorted(as_of - (length - 1))
+    hi = days.searchsorted(as_of, "right")
+    empty = (lo == hi).nonzero()[0]
+    if len(empty):
+        end = dt.date.fromordinal(int(as_of[empty[0]]) % _PLAYER_DAYS)
+        raise MissingWindow(f"no sessions in the {length}-day window ending {end}")
+    return lo, hi
 
 
-def _acwr_rows(W, dates, as_of: dt.date) -> np.ndarray:
-    """`acwr` of every row of the (series x sessions) matrix W as of a date."""
-    chronic = W[:, _window(dates, as_of, ACWR_CHRONIC_DAYS)].mean(axis=1)
-    try:
-        acute = W[:, _window(dates, as_of, ACWR_ACUTE_DAYS)].mean(axis=1)
-    except MissingWindow:
-        acute = np.zeros(len(W))
+def _blocks(W, lo, hi):
+    """(positions, block) for each window length: the windows [lo, hi) of that
+    length, gathered from the rows of the (series x sessions) matrix W into one
+    C-ordered (series x windows x length) block, so that every window reduces along
+    the last axis in the order numpy reduces the row slice W[:, lo:hi]."""
+    n = hi - lo
+    for length in sorted(set(n.tolist())):
+        at = (n == length).nonzero()[0]
+        yield at, W.take(lo[at, None] + np.arange(length), axis=1)
+
+
+def _means(W, lo, hi) -> np.ndarray:
+    """(series x windows) means of W's windows [lo, hi); an empty window gives 0."""
+    out = np.zeros((len(W), len(lo)))
+    for at, block in _blocks(W, lo, hi):
+        if block.shape[-1]:
+            out[:, at] = block.mean(axis=-1)
+    return out
+
+
+def _acwr_rows(W, days, as_of) -> np.ndarray:
+    """`acwr` of every row of the (series x sessions) matrix W, dated by the day
+    numbers `days`, as of each day number of `as_of`: a (series x as_of) matrix."""
+    lo, hi = _window(days, as_of, ACWR_CHRONIC_DAYS)
+    chronic = _means(W, lo, hi)
+    # the acute window ends where the chronic one does; empty, it counts as zero load
+    acute = _means(W, days.searchsorted(as_of - (ACWR_ACUTE_DAYS - 1)), hi)
     ratio = np.where(acute > 0.0, ACWR_CAP, 0.0)
     pos = chronic > 0.0
-    ratio[pos] = np.minimum(acute[pos] / chronic[pos], ACWR_CAP)
+    np.divide(acute, chronic, out=acute, where=pos)
+    return np.minimum(acute, ACWR_CAP, out=ratio, where=pos)
+
+
+def _mswr_rows(W, days, as_of) -> np.ndarray:
+    """`mswr` of every row of W as of each day number of `as_of`, as `_acwr_rows`."""
+    ratio = np.full((len(W), len(as_of)), MSWR_CAP)
+    for at, V in _blocks(W, *_window(days, as_of, MSWR_WINDOW_DAYS)):
+        if V.shape[-1] > 1:
+            # V.mean(axis=-1) and V.std(axis=-1, ddof=1) as numpy computes them, sharing the mean
+            mean = V.sum(axis=-1, keepdims=True) / V.shape[-1]
+            std = np.sqrt(np.square(V - mean).sum(axis=-1) / (V.shape[-1] - 1))
+            # a near-zero std gives the cap, a NaN std NaN
+            ratio[:, at] = np.where(std < 1e-9, MSWR_CAP,
+                                    np.minimum(mean[..., 0] / np.maximum(std, 1e-9), MSWR_CAP))
     return ratio
 
 
-def _mswr_rows(W, dates, as_of: dt.date) -> np.ndarray:
-    """`mswr` of every row of the (series x sessions) matrix W as of a date."""
-    V = W[:, _window(dates, as_of, MSWR_WINDOW_DAYS)]
-    ratio = np.full(len(W), MSWR_CAP)
-    if V.shape[1] > 1:
-        # V.mean(axis=1) and V.std(axis=1, ddof=1) as numpy computes them, sharing the mean
-        mean = V.sum(axis=1, keepdims=True) / V.shape[1]
-        std = np.sqrt(np.square(V - mean).sum(axis=1) / (V.shape[1] - 1))
-        ok = ~(std < 1e-9)
-        ratio[ok] = np.minimum(mean[ok, 0] / std[ok], MSWR_CAP)
-    return ratio
-
-
-def _one_row(dates, values) -> np.ndarray:
+def _one_series(dates, values, as_of: dt.date):
+    """A one-window call's arguments: the series as a (1 x sessions) matrix, its
+    dates' ordinals and the as-of ordinal."""
     if list(dates) != sorted(dates):
         raise ValueError("dates must be in ascending order")
-    return np.asarray(values, dtype=float).reshape(1, -1)
+    days = np.fromiter(map(dt.date.toordinal, dates), np.int64, len(dates))
+    return np.asarray(values, dtype=float).reshape(1, -1), days, np.array([as_of.toordinal()])
 
 
 def rolling_mean(dates, values, window_days: int, as_of: dt.date) -> float:
     """Arithmetic mean over sessions dated in [as_of - window_days + 1, as_of]."""
     if window_days < 1:
         raise ValueError("window_days must be >= 1")
-    return float(_one_row(dates, values)[0, _window(dates, as_of, window_days)].mean())
+    W, days, at = _one_series(dates, values, as_of)
+    return float(_means(W, *_window(days, at, window_days))[0, 0])
 
 
 def acwr(dates, values, as_of: dt.date) -> float:
     """Acute/chronic workload ratio from plain rolling means, capped at ACWR_CAP;
     an empty acute window counts as zero load."""
-    return float(_acwr_rows(_one_row(dates, values), dates, as_of)[0])
+    return float(_acwr_rows(*_one_series(dates, values, as_of))[0, 0])
 
 
 def mswr(dates, values, as_of: dt.date) -> float:
     """Training monotony: mean / sample std over the last week, capped at MSWR_CAP;
     fewer than two sessions in the window, or a near-zero std, give the cap."""
-    return float(_mswr_rows(_one_row(dates, values), dates, as_of)[0])
+    return float(_mswr_rows(*_one_series(dates, values, as_of))[0, 0])
 
 
 def build_training_table(labeling: LabelingResult, profiles: dict):
-    """Assemble the 55-feature TrainingTable and a BuildSummary from labeled sessions,
-    stacking columns from each player's C-ordered (workloads x sessions) matrix so that
-    every window reduces a row slice in the order `acwr` and `mswr` reduce one series."""
-    by_player = {}
-    for ls in sorted(labeling.labeled, key=lambda ls: (ls.session.player_id, ls.session.date)):
-        by_player.setdefault(ls.session.player_id, []).append(ls)
+    """Assemble the 55-feature TrainingTable and a BuildSummary from labeled sessions.
 
-    blocks, labels, pids, dates = [], [], [], []
-    for pid, seq in by_player.items():
+    The sessions, ordered by player and date, form one C-ordered (workloads x
+    sessions) matrix. Each player's dates become day numbers of their own, so one
+    window search covers every session and no window reaches another player, and
+    each window statistic reduces all windows of one length in one block. The
+    EWMAs recurse over one player's sessions at a time.
+    """
+    seq = sorted(labeling.labeled, key=lambda ls: (ls.session.player_id, ls.session.date))
+    sessions = [ls.session for ls in seq]
+    labels = [ls.label for ls in seq]
+    pids = [s.player_id for s in sessions]
+    dates = [s.date for s in sessions]
+    W = np.array([[s.workload[f] for s in sessions] for f in WORKLOAD_FEATURES], float)
+    days = np.empty(len(seq), dtype=np.int64)
+    personal = np.empty((len(seq), 3))  # age, bmi, role
+    prior = np.empty(len(seq))  # prior-injury count before each session
+    smooth = np.empty((len(seq), len(W) + 1))  # the workloads' EWMAs, then pi_ewma
+    start = 0
+    for rank, (pid, group) in enumerate(groupby(pids)):
+        end = start + len(list(group))
         profile = profiles[pid]
-        sess_dates = [ls.session.date for ls in seq]
-        y = [ls.label for ls in seq]
-        W = np.array([[ls.session.workload[f] for ls in seq] for f in WORKLOAD_FEATURES], float)
-        # prior-injury count before each session, recovered from earlier labels
-        pi_counts = np.cumsum([0] + y[:-1])
-        blocks.append(np.column_stack([
-            W.T,
-            [[profile.age, profile.bmi, profile.role.code]] * len(seq), pi_counts,
-            [ls.session.play_time for ls in seq], [ls.session.games for ls in seq],
-            np.transpose([ewma(w, EWMA_SPAN) for w in W]),
-            [_acwr_rows(W, sess_dates, d) for d in sess_dates],
-            [_mswr_rows(W, sess_dates, d) for d in sess_dates],
-            pi_ewma(pi_counts),
-        ]))
-        labels += y
-        pids += [pid] * len(seq)
-        dates += sess_dates
-
-    X = np.concatenate(blocks) if blocks else np.empty((0, len(FEATURE_NAMES)))
+        days[start:end] = [rank * _PLAYER_DAYS + d.toordinal() for d in dates[start:end]]
+        personal[start:end] = profile.age, profile.bmi, profile.role.code
+        prior[start:end] = np.cumsum([0] + labels[start:end - 1])
+        smooth[start:end] = ewma(np.column_stack([W[:, start:end].T, prior[start:end]]),
+                                 EWMA_SPAN)
+        start = end
+    X = np.column_stack([
+        W.T, personal, prior,
+        [s.play_time for s in sessions], [s.games for s in sessions],
+        smooth[:, :-1],
+        _acwr_rows(W, days, days).T,
+        _mswr_rows(W, days, days).T,
+        smooth[:, -1],
+    ])
     summary = BuildSummary(n_examples=len(labels), n_injury=int(sum(labels)),
                            orphan_injuries=len(labeling.orphan_injuries),
                            excluded_sessions=labeling.excluded_sessions)

@@ -16,7 +16,7 @@ from .data_model import (
     WORKLOAD_FEATURES,
 )
 from .errors import ConfigInvalid
-from .features import EWMA_SPAN, mswr
+from .features import EWMA_SPAN, MSWR_WINDOW_DAYS, mswr
 
 # season-level mean/sd calibration targets for each workload feature
 DEFAULT_FEATURE_STATS = {
@@ -131,17 +131,24 @@ class GroundTruthLedger:
                           indent=2, sort_keys=True, default=str)
 
 
-def _mixture_draw(rng, mean, sd):
-    """Right-skewed bimodal draw: two lognormal components around 0.7x and 1.45x
-    of the target mean, weighted to preserve the mean, with component variance
-    chosen to approach the target sd."""
-    low = rng.random() < 0.6
-    c_mean = 0.7 * mean if low else 1.45 * mean
+def _mixture_components(mean, sd):
+    """Lognormal (mu, sigma) of _mixture_draw's two components, around 0.7x and
+    1.45x of the target mean, with component variance chosen to approach the
+    target sd."""
     between_var = 0.135 * mean ** 2
     c_var = max(sd ** 2 - between_var, (0.05 * mean) ** 2)
-    sigma2 = np.log(1.0 + c_var / c_mean ** 2)
-    mu = np.log(c_mean) - sigma2 / 2.0
-    return float(rng.lognormal(mu, np.sqrt(sigma2)))
+    components = []
+    for c_mean in (0.7 * mean, 1.45 * mean):
+        sigma2 = np.log(1.0 + c_var / c_mean ** 2)
+        components.append((np.log(c_mean) - sigma2 / 2.0, np.sqrt(sigma2)))
+    return components
+
+
+def _mixture_draw(rng, components):
+    """Right-skewed bimodal draw: the low component with weight 0.6, which
+    preserves the target mean."""
+    mu, sigma = components[0] if rng.random() < 0.6 else components[1]
+    return float(rng.lognormal(mu, sigma))
 
 
 # features drawn as parent x lognormal ratio so the physical orderings
@@ -172,15 +179,15 @@ def _draw_plan(stats, spread):
             continue
         mean_adj = mean / e_m
         var_adj = max((sd ** 2 - var_m * mean ** 2) / e_m2, (0.2 * sd) ** 2)
-        mixture[name] = (mean_adj, np.sqrt(var_adj))
+        mixture[name] = _mixture_components(mean_adj, np.sqrt(var_adj))
     ratios = {c: _ratio_params(stats[c], stats[p]) for c, p in children.items()}
     return mixture, ratios, children
 
 
 def _draw_workload(rng, plan, multiplier):
     mixture, ratios, children = plan
-    w = {name: multiplier * _mixture_draw(rng, mean, sd)
-         for name, (mean, sd) in mixture.items()}
+    w = {name: multiplier * _mixture_draw(rng, components)
+         for name, components in mixture.items()}
     for child, parent in children.items():
         mu, sigma = ratios[child]
         w[child] = w[parent] * min(float(rng.lognormal(mu, sigma)), 1.0)
@@ -260,6 +267,8 @@ def generate(cfg: GeneratorConfig):
                 player_sessions.append(session)
                 hist_dates.append(date)
                 hist_tot.append(workload["d_tot"])
+                # one session a day at most: the last week's are among the last seven
+                del hist_dates[:-MSWR_WINDOW_DAYS], hist_tot[:-MSWR_WINDOW_DAYS]
                 hsr_ewma = _ewma_step(hsr_ewma, workload["d_hsr"])
                 pi_ewma = _ewma_step(pi_ewma, pi_count)
 

@@ -87,25 +87,32 @@ def adasyn(table: TrainingTable, cfg: ResamplingConfig) -> TrainingTable:
     role_col = (table.feature_names.index("role")
                 if "role" in table.feature_names else None)
 
-    new_rows = []
-    for i, g in enumerate(alloc):
-        if g == 0:
-            continue
-        nbrs = _nearest(Zmin, i, k_min)
-        xi = table.X[minority[i]]
-        for _ in range(g):
-            partner = table.X[minority[nbrs[rng.integers(len(nbrs))]]]
-            lam = rng.uniform()
-            row = xi + lam * (partner - xi)
-            if role_col is not None:
-                row[role_col] = np.clip(np.rint(row[role_col]), 0, 4)
-            new_rows.append(row)
+    # partners and weights drawn in the order the rows are written: per minority
+    # point with synthetics, in row order, a partner then a weight for each
+    partners, lam = [], []
+    for i in np.flatnonzero(alloc):
+        nbrs = minority[_nearest(Zmin, i, k_min)]
+        for _ in range(alloc[i]):
+            partners.append(nbrs[rng.integers(len(nbrs))])
+            lam.append(rng.random())  # the draw of rng.uniform(), with less overhead
 
-    X = np.vstack([table.X, np.array(new_rows)])
-    y_out = np.concatenate([y, np.ones(len(new_rows), dtype=int)])
+    # x_i + lam * (partner - x_i), written in place: IEEE + and * commute exactly
+    n = len(table)
+    X = np.empty((n + n_new, table.X.shape[1]))
+    X[:n] = table.X
+    new = X[n:]
+    # every index is valid: "clip" only skips the copy that "raise" buffers out= through
+    table.X.take(partners, axis=0, out=new, mode="clip")
+    xi = table.X[np.repeat(minority, alloc)]
+    np.subtract(new, xi, out=new)
+    new *= np.array(lam)[:, None]
+    new += xi
+    if role_col is not None:
+        new[:, role_col] = np.clip(np.rint(new[:, role_col]), 0, 4)
+
     return TrainingTable(
-        list(table.feature_names), X, y_out,
-        list(table.player_ids) + ["synthetic"] * len(new_rows),
-        list(table.dates) + [None] * len(new_rows),
-        np.concatenate([table.synthetic, np.ones(len(new_rows), dtype=bool)]),
+        list(table.feature_names), X, np.concatenate([y, np.ones(n_new, dtype=int)]),
+        list(table.player_ids) + ["synthetic"] * n_new,
+        list(table.dates) + [None] * n_new,
+        np.concatenate([table.synthetic, np.ones(n_new, dtype=bool)]),
     )

@@ -237,7 +237,7 @@ class Presorted:
         """The same rows without live column j, sorted as before: the next size of
         a recursive feature elimination. It shares cols and rows with this set."""
         out = copy.copy(self)
-        out.live = np.delete(self.live, j)
+        out.live = np.concatenate((self.live[:j], self.live[j + 1:]))
         out.feature_names = self.feature_names[:j] + self.feature_names[j + 1:]
         return out
 
@@ -351,7 +351,7 @@ def _refit_plan(prev: DecisionTreeModel, dropped: int, rank):
     which the drop leaves as they are); `changed`, the split nodes whose winner
     is another column than before.
     """
-    minima = np.delete(prev._minima, dropped, axis=1)
+    minima = np.concatenate((prev._minima[:, :dropped], prev._minima[:, dropped + 1:]), axis=1)
     at_min = minima == minima.min(axis=1, keepdims=True)
     winner = np.where(at_min, rank, len(rank)).argmin(axis=1)
     old = prev.feature
@@ -398,7 +398,8 @@ def _grow(data: Presorted, hp: TreeHyperParams = TreeHyperParams(), seed: int = 
             model = copy.copy(prev)
             model.feature_names = data.feature_names
             model.feature = prev.feature - (prev.feature > dropped)
-            model._raw_importance = np.delete(prev._raw_importance, dropped)
+            model._raw_importance = np.concatenate((prev._raw_importance[:dropped],
+                                                     prev._raw_importance[dropped + 1:]))
             model._minima = minima
             model._reused = True
             return model

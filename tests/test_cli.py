@@ -205,6 +205,20 @@ def test_bad_value_is_one_line_error(tmp_path, capsys, case):
     assert "error: " in err and fragment in err
 
 
+def test_a_season_at_date_min_featurizes(tmp_path, capsys):
+    """Windows are searched by date ordinal, so a 27-day window ending on
+    0001-01-02 reaches back past 0001-01-01 without leaving the calendar."""
+    sessions = SESSIONS + "".join(SESSION.replace("2014-01-06", d)
+                                  for d in ("0001-01-01", "0001-01-02"))
+    argv = in_dir(tmp_path, ["featurize", *SEASON, "--out", "t.csv"],
+                  {"sessions.csv": sessions})
+    assert run(*argv) == 0, capsys.readouterr().err
+    table = TrainingTable.from_csv(tmp_path / "t.csv")
+    assert [d.isoformat() for d in table.dates] == ["0001-01-01", "0001-01-02"]
+    assert table.column("d_tot_acwr").tolist() == [1.0, 1.0]
+    assert table.column("d_tot_mswr").tolist() == [10.0, 10.0]
+
+
 @pytest.mark.parametrize("argv", [
     ["ingest", "--sessions", "dir", "--injuries", "injuries.csv", "--players", "players.csv"],
     ["ingest", *SEASON, "--out", "dir"],

@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import datetime as dt
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +18,9 @@ from injurycast.features import (
     FEATURE_NAMES,
     MSWR_CAP,
     MSWR_WINDOW_DAYS,
+    _PLAYER_DAYS,
     TrainingTable,
+    _window,
     acwr,
     build_training_table,
     ewma,
@@ -25,6 +29,7 @@ from injurycast.features import (
     rolling_mean,
 )
 from injurycast.generator import GeneratorConfig, generate
+from injurycast.resampling import ResamplingConfig, adasyn
 from injurycast.tree import TreeHyperParams, fit_tree
 
 from conftest import day, make_log, planted_table, rand_table
@@ -112,6 +117,32 @@ def reference_build_X(labeling, profiles):
     return np.array(rows, dtype=float).reshape(-1, 55)
 
 
+def reference_to_csv(table, path, include_meta=False):
+    """TrainingTable.to_csv as first written: one csv.writer row per table row."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        meta = ["player_id", "date", "synthetic"] if include_meta else []
+        w.writerow(meta + list(table.feature_names) + ["label"])
+        for i in range(len(table)):
+            row = []
+            if include_meta:
+                date = table.dates[i]
+                row += [table.player_ids[i],
+                        date.isoformat() if date is not None else "",
+                        int(table.synthetic[i])]
+            row += [repr(float(v)) for v in table.X[i]]
+            row.append(int(table.y[i]))
+            w.writerow(row)
+
+
+def outcome(f, *args):
+    """f(*args), or MissingWindow when it raises that."""
+    try:
+        return f(*args)
+    except MissingWindow:
+        return MissingWindow
+
+
 def assert_bit_equal(got, want):
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
     assert got.shape == want.shape
@@ -168,6 +199,13 @@ class TestEwma:
     def test_constant_series_stays_constant(self):
         np.testing.assert_allclose(ewma([4.2] * 10, 6), 4.2)
 
+    def test_a_matrix_is_smoothed_down_each_column(self):
+        # a (sessions x series) matrix: every column bit for bit its own 1-D EWMA
+        x = np.random.default_rng(5).normal(size=(9, 4))
+        out = ewma(x, 6)
+        for j in range(x.shape[1]):
+            np.testing.assert_array_equal(out[:, j], ewma(x[:, j], 6))
+
 
 class TestPiEwma:
     def test_all_zero_history(self):
@@ -205,6 +243,13 @@ class TestWindows:
             rolling_mean(self.DATES, self.VALUES, 2, day(40))
         with pytest.raises(ValueError):
             rolling_mean(self.DATES, self.VALUES, 0, day(5))
+
+    def test_an_empty_window_of_a_later_player_names_its_date(self):
+        # the table build numbers a player's days rank * _PLAYER_DAYS + ordinal
+        base = 3 * _PLAYER_DAYS
+        days = np.array([base + day(0).toordinal()])
+        with pytest.raises(MissingWindow, match=str(day(40))):
+            _window(days, days + 40, MSWR_WINDOW_DAYS)
 
     def test_acwr_hand_value(self):
         # as of day 9: acute window days 4..9 -> {30, 40}; chronic days -17..9 -> all
@@ -261,6 +306,20 @@ class TestMatchesReference:
         assert table.dates == [ls.session.date for ls in order]
         np.testing.assert_array_equal(table.y, [ls.label for ls in order])
 
+    def test_daily_season(self):
+        # a session every day, so chronic windows hold up to 27 sessions: every
+        # window length from 1 to 27 is one block
+        log, _ = generate(GeneratorConfig(seed=3, n_players=4, weeks=12, sessions_per_week=7))
+        labeling = assign_labels(log)
+        table, _ = build_training_table(labeling, log.players)
+        assert_bit_equal(table.X, reference_build_X(labeling, log.players))
+        days = [d.toordinal() for d in table.dates]
+        longest = max(sum(1 for j in range(max(0, i - 26), i + 1)
+                          if table.player_ids[j] == table.player_ids[i]
+                          and days[i] - days[j] < 27)
+                      for i in range(len(days)))
+        assert longest == 27
+
     def test_edge_case_season(self):
         # days 10 and 60 sit alone in their week; d_hsr is all zero (zero chronic
         # load); d_tot jumps 1 -> 1000 on day 40 (ACWR cap); d_met differs by 1e-12
@@ -299,6 +358,30 @@ class TestMatchesReference:
             for days in (1, 3, 27):
                 assert_same_statistic(rolling_mean, reference_rolling_mean,
                                       dates, values, days, as_of)
+
+    def test_windows_near_date_min(self):
+        # the statistics depend only on the gaps between dates, so the reference on
+        # the same dates a year later is the oracle; at date.min itself its window
+        # start would fall before 0001-01-01
+        d, later = dt.date(1, 1, 1), dt.timedelta(days=365)
+        cases = [
+            ([d, d + dt.timedelta(1)], [2.0, 4.0], d + dt.timedelta(1)),
+            ([d], [5.0], d),
+            ([d + dt.timedelta(2)], [5.0], d),  # as of a day before every session
+            ([d, d + dt.timedelta(19)], [1.0, 9.0], d + dt.timedelta(19)),  # acute: one
+            ([d, d + dt.timedelta(2)], [1.0, 9.0], d + dt.timedelta(40)),  # both empty
+        ]
+        seen = set()
+        for dates, values, as_of in cases:
+            moved = [x + later for x in dates]
+            for ours, ref in ((acwr, reference_acwr), (mswr, reference_mswr)):
+                got = outcome(ours, dates, values, as_of)
+                assert got == outcome(ref, moved, values, as_of + later)
+                seen.add(got is MissingWindow)
+            for days in (1, 3, 27):
+                assert (outcome(rolling_mean, dates, values, days, as_of)
+                        == outcome(reference_rolling_mean, moved, values, days, as_of + later))
+        assert seen == {True, False}
 
     def test_random_windows(self):
         # daily and sparse schedules, as-of dates inside, between and after sessions
@@ -358,6 +441,23 @@ class TestBuildTrainingTable:
         np.testing.assert_allclose(table.column("pi_ewma"),
                                    pi_ewma([0, 0, 0, 1, 1], 6))
 
+    def test_no_sessions_give_an_empty_table(self):
+        table, summary = build_training_table(assign_labels(make_log([])), {})
+        assert table.X.shape == (0, 55) and summary.n_examples == 0
+
+    def test_peak_memory_is_a_few_tables(self):
+        # the columns, the window statistics and X itself; a Python copy of every
+        # value (X.tolist()) alone would add about 4x X.nbytes
+        log, _ = generate(GeneratorConfig(seed=7))
+        labeling = assign_labels(log)
+        tracemalloc.start()
+        try:
+            table, _ = build_training_table(labeling, log.players)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * table.X.nbytes
+
     def test_summary_carries_label_bookkeeping(self):
         # the day-5 session falls inside the absence window; the day-9 one
         # is too far from the only onset to attach, so the injury orphans
@@ -395,6 +495,39 @@ class TestTrainingTable:
         assert back.player_ids == t.player_ids
         assert back.dates == t.dates
         assert back.feature_names == list(t.feature_names)
+
+    @pytest.mark.parametrize("include_meta", [False, True])
+    def test_csv_bytes_match_the_csv_writer(self, tmp_path, include_meta):
+        season, _ = generate(GeneratorConfig(seed=7, n_players=4, weeks=6))
+        generated, _ = build_training_table(assign_labels(season), season.players)
+        odd = rand_table(n=30, p=4, n_pos=8, seed=3)
+        odd.X[:4, 0] = [-0.0, 1e-300, 123456789.125, -7e22]
+        odd.dates = [day(i) for i in range(30)]
+        odd.player_ids = ["a,b", 'say "hi"', "two\nlines", "cr\r", "", " pad "] * 5
+        # ADASYN rows: player "synthetic", date None, synthetic flag 1
+        for table in (generated, odd, adasyn(odd, ResamplingConfig(seed=1))):
+            ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+            table.to_csv(ours, include_meta=include_meta)
+            reference_to_csv(table, ref, include_meta=include_meta)
+            assert ours.read_bytes() == ref.read_bytes()
+        back = TrainingTable.from_csv(ours)
+        np.testing.assert_array_equal(back.X, table.X)
+        if include_meta:
+            assert back.player_ids == table.player_ids
+            assert back.dates == table.dates
+            np.testing.assert_array_equal(back.synthetic, table.synthetic)
+
+    def test_csv_peak_memory_is_a_fraction_of_the_table(self, tmp_path):
+        # a Python copy of every value (X.tolist()) alone would be about 4x X.nbytes
+        log, _ = generate(GeneratorConfig(seed=7))
+        table, _ = build_training_table(assign_labels(log), log.players)
+        tracemalloc.start()
+        try:
+            table.to_csv(tmp_path / "t.csv", include_meta=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * table.X.nbytes
 
     def test_fit_after_replace_matches_a_fresh_table(self):
         t = planted_table(n=120, seed=2)

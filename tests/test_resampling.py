@@ -116,6 +116,15 @@ class TestRowAtATimeDistances:
         assert out.X.tobytes() == want_X.tobytes()
         assert any("identical" in str(w.message) for w in caught) == want_warning
 
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_byte_equal_on_a_default_season(self, seed):
+        # 26 players x 23 weeks: about 40 injuries, 1,600 synthetic rows
+        log, _ = generate(GeneratorConfig(seed=seed))
+        table, _ = build_training_table(assign_labels(log), log.players)
+        want_X, _ = tensor_adasyn(table, seed)
+        out = adasyn(table, ResamplingConfig(seed=seed))
+        assert out.X.tobytes() == want_X.tobytes()
+
     def test_peak_memory_is_a_few_tables(self):
         # the distance tensor alone would be 100 x 2,000 x 20 doubles = 32 MB
         table = rand_table(n=2000, p=20, n_pos=100, seed=0)
