@@ -159,41 +159,69 @@ def open_utf8(path, newline=None):
             raise NotUtf8(path, exc) from None
 
 
-def _parse_csv(path, expected_header):
+def read_csv(path, columns):
+    """Yield (line, values) for each row of the UTF-8 CSV file at path.
+
+    columns(header) checks the header and returns one converter per column, or
+    raises ValueError(column, reason). Rows of blank cells are skipped. A row of the
+    wrong length, or a cell its converter refuses with ValueError, raises MalformedRow
+    naming the physical line the row ends on and the first missing or refused column.
+    """
     with open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
+        header = next(reader, None)
+        if not header:
+            raise MalformedRow(path, 1, "", "missing header")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedRow(path, 1, expected_header[0], "file is empty")
-        if tuple(h.strip() for h in header) != expected_header:
-            raise MalformedRow(path, 1, header[0] if header else "?",
-                               f"header must be {','.join(expected_header)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
+            converters = columns(header)
+        except ValueError as exc:
+            raise MalformedRow(path, 1, *exc.args) from None
+        for row in reader:
+            if not any(cell.strip() for cell in row):
                 continue
-            if len(row) != len(expected_header):
-                raise MalformedRow(path, lineno, expected_header[0],
-                                   f"expected {len(expected_header)} columns, got {len(row)}")
-            yield lineno, dict(zip(expected_header, (c.strip() for c in row)))
+            if len(row) != len(header):
+                raise MalformedRow(path, reader.line_num,
+                                   header[min(len(row), len(header) - 1)],
+                                   f"expected {len(header)} columns, got {len(row)}")
+            try:
+                yield reader.line_num, [conv(cell) for conv, cell in zip(converters, row)]
+            except ValueError:
+                for name, conv, cell in zip(header, converters, row):
+                    try:
+                        conv(cell)
+                    except ValueError as exc:
+                        raise MalformedRow(path, reader.line_num, name, str(exc)) from None
 
 
-def _field(path, lineno, row, name, conv):
-    try:
-        return conv(row[name])
-    except (ValueError, KeyError) as exc:
-        raise MalformedRow(path, lineno, name, str(exc)) from exc
+def _season_columns(names, *converters):
+    """A read_csv columns check for the header `names`, its cells stripped."""
+    def columns(header):
+        if tuple(h.strip() for h in header) != names:
+            raise ValueError(header[0], f"header must be {','.join(names)}")
+        return converters
+    return columns
 
 
 def _number(conv, positive=False):
-    """conv(text), refused with a ValueError, which _field reports with its column,
-    unless finite and, if asked, > 0."""
+    """conv(text), refused with a ValueError unless finite and, if asked, > 0."""
     def parse(text):
         value = conv(text)
         if not math.isfinite(value) or positive and value <= 0:
-            raise ValueError(f"{text!r} is not a finite{' positive' if positive else ''} number")
+            raise ValueError(f"{text.strip()!r} is not a finite"
+                             f"{' positive' if positive else ''} number")
         return value
     return parse
+
+
+def _date(text):
+    return dt.date.fromisoformat(text.strip())
+
+
+def _role(text):
+    try:
+        return Role(text.strip())
+    except ValueError:
+        raise ValueError(f"'{text.strip()}' is not one of {[r.value for r in Role]}") from None
 
 
 def parse_season(sessions_file, injuries_file, players_file) -> SeasonLog:
@@ -201,64 +229,41 @@ def parse_season(sessions_file, injuries_file, players_file) -> SeasonLog:
 
     Raises MalformedRow (a value out of range, a player's second injury on one
     date or an absence ending after date.max included), UnknownPlayer,
-    DuplicateSession or NegativeWorkload;
-    never silently drops a row.
+    DuplicateSession or NegativeWorkload; never silently drops a row.
     """
     finite, positive, positive_int = _number(float), _number(float, True), _number(int, True)
     players = {}
-    for lineno, row in _parse_csv(players_file, PLAYERS_HEADER):
-        role_raw = row["role"]
-        try:
-            role = Role(role_raw)
-        except ValueError:
-            raise MalformedRow(players_file, lineno, "role",
-                               f"'{role_raw}' is not one of {[r.value for r in Role]}")
-        profile = PlayerProfile(
-            player_id=row["player_id"],
-            age=_field(players_file, lineno, row, "age", positive_int),
-            height_cm=_field(players_file, lineno, row, "height_cm", positive),
-            body_mass_kg=_field(players_file, lineno, row, "mass_kg", positive),
-            role=role,
-        )
-        if profile.player_id in players:
-            raise MalformedRow(players_file, lineno, "player_id",
-                               f"duplicate player '{profile.player_id}'")
-        players[profile.player_id] = profile
+    columns = _season_columns(PLAYERS_HEADER, str.strip, positive_int, positive, positive, _role)
+    for line, (pid, *profile) in read_csv(players_file, columns):
+        if pid in players:
+            raise MalformedRow(players_file, line, "player_id", f"duplicate player '{pid}'")
+        players[pid] = PlayerProfile(pid, *profile)
 
     sessions = {pid: [] for pid in players}
     seen = set()
-    for lineno, row in _parse_csv(sessions_file, SESSIONS_HEADER):
-        pid = row["player_id"]
+    n = len(WORKLOAD_FEATURES)
+    columns = _season_columns(SESSIONS_HEADER, str.strip, _date, *[finite] * (n + 1), int)
+    for line, (pid, date, *values) in read_csv(sessions_file, columns):
         if pid not in players:
-            raise UnknownPlayer(f"{sessions_file}:{lineno}: unknown player '{pid}'")
-        date = _field(sessions_file, lineno, row, "date", dt.date.fromisoformat)
+            raise UnknownPlayer(f"{sessions_file}:{line}: unknown player '{pid}'")
         if (pid, date) in seen:
-            raise DuplicateSession(f"{sessions_file}:{lineno}: duplicate session {pid}@{date}")
+            raise DuplicateSession(f"{sessions_file}:{line}: duplicate session {pid}@{date}")
         seen.add((pid, date))
-        workload = {name: _field(sessions_file, lineno, row, name, finite)
-                    for name in WORKLOAD_FEATURES}
-        sessions[pid].append(TrainingSession(
-            player_id=pid,
-            date=date,
-            workload=workload,
-            play_time=_field(sessions_file, lineno, row, "play_time", finite),
-            games=_field(sessions_file, lineno, row, "games", int),
-        ))
+        sessions[pid].append(
+            TrainingSession(pid, date, dict(zip(WORKLOAD_FEATURES, values)), *values[n:]))
 
     injuries = []
     onsets = set()
-    for lineno, row in _parse_csv(injuries_file, INJURIES_HEADER):
-        pid = row["player_id"]
+    columns = _season_columns(INJURIES_HEADER, str.strip, _date, positive_int)
+    for line, (pid, onset, days) in read_csv(injuries_file, columns):
         if pid not in players:
-            raise UnknownPlayer(f"{injuries_file}:{lineno}: unknown player '{pid}'")
-        onset = _field(injuries_file, lineno, row, "onset_date", dt.date.fromisoformat)
+            raise UnknownPlayer(f"{injuries_file}:{line}: unknown player '{pid}'")
         if (pid, onset) in onsets:
-            raise MalformedRow(injuries_file, lineno, "onset_date",
+            raise MalformedRow(injuries_file, line, "onset_date",
                                f"'{pid}' already has an injury on {onset}")
         onsets.add((pid, onset))
-        days = _field(injuries_file, lineno, row, "days_absent", positive_int)
         if days > (dt.date.max - onset).days:
-            raise MalformedRow(injuries_file, lineno, "days_absent",
+            raise MalformedRow(injuries_file, line, "days_absent",
                                f"an absence of {days} days from {onset} ends after "
                                f"{dt.date.max}")
         injuries.append(InjuryRecord(player_id=pid, onset_date=onset, days_absent=days))
@@ -310,6 +315,12 @@ def assign_labels(log: SeasonLog, horizon_days: int = 3) -> LabelingResult:
                           excluded_sessions=excluded)
 
 
+def _short(value) -> str:
+    """value in %g form where that reads back equal, else its repr as a float."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(float(value))
+
+
 def write_season_csvs(log: SeasonLog, sessions_file, injuries_file, players_file) -> None:
     """Inverse of parse_season; used by the generator and for round-trip tests."""
     with open(players_file, "w", encoding="utf-8", newline="") as fh:
@@ -317,7 +328,7 @@ def write_season_csvs(log: SeasonLog, sessions_file, injuries_file, players_file
         w.writerow(PLAYERS_HEADER)
         for pid in sorted(log.players):
             p = log.players[pid]
-            w.writerow([p.player_id, p.age, f"{p.height_cm:g}", f"{p.body_mass_kg:g}",
+            w.writerow([p.player_id, p.age, _short(p.height_cm), _short(p.body_mass_kg),
                         p.role.value])
     with open(sessions_file, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
@@ -326,7 +337,7 @@ def write_season_csvs(log: SeasonLog, sessions_file, injuries_file, players_file
             for s in log.sessions[pid]:
                 w.writerow([s.player_id, s.date.isoformat()]
                            + [repr(float(s.workload[f])) for f in WORKLOAD_FEATURES]
-                           + [f"{s.play_time:g}", s.games])
+                           + [_short(s.play_time), s.games])
     with open(injuries_file, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(INJURIES_HEADER)

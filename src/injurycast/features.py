@@ -10,7 +10,7 @@ from itertools import groupby, repeat
 
 import numpy as np
 
-from .data_model import WORKLOAD_FEATURES, LabelingResult, open_utf8
+from .data_model import WORKLOAD_FEATURES, LabelingResult, read_csv
 from .errors import EmptySeries, MalformedRow, MissingWindow
 
 PERSONAL_FEATURES = ("age", "bmi", "role", "pi", "play_time", "games")
@@ -111,39 +111,26 @@ class TrainingTable:
         """Read a table written by to_csv; a last column not named label, a short
         row, a cell that is not a finite number or a label other than 0 and 1
         raises MalformedRow with its line and column."""
-        with open_utf8(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if not header:
-                raise MalformedRow(path, 1, "", "missing header")
+        names, off = [], 0
+
+        def columns(header):
+            nonlocal off
             if header[-1] != "label":
-                raise MalformedRow(path, 1, header[-1], "the last column must be 'label'")
-            off = 3 if header[0] == "player_id" else 0
-            names = header[off:-1]
-            parsers = [str, lambda text: dt.date.fromisoformat(text) if text else None,
-                       lambda text: bool(int(text))][:off] + [float] * len(names) + [int]
-            X, y, pids, dates, synth, lines = [], [], [], [], [], []
-            for row in reader:
-                if len(row) != len(header):
-                    raise MalformedRow(path, reader.line_num,
-                                       header[min(len(row), len(header) - 1)],
-                                       f"expected {len(header)} cells, got {len(row)}")
-                try:
-                    cells = [parse(text) for parse, text in zip(parsers, row)]
-                except ValueError:
-                    for column, parse, text in zip(header, parsers, row):
-                        try:
-                            parse(text)
-                        except ValueError:
-                            raise MalformedRow(path, reader.line_num, column,
-                                               f"cannot parse {text!r}") from None
-                pid, date, flag = cells[:off] or ("", None, False)
-                pids.append(pid)
-                dates.append(date)
-                synth.append(flag)
-                X.append(cells[off:-1])
-                y.append(cells[-1])
-                lines.append(reader.line_num)
+                raise ValueError(header[-1], "the last column must be 'label'")
+            off = 3 if header[:3] == ["player_id", "date", "synthetic"] else 0
+            names.extend(header[off:-1])
+            return [str, lambda text: dt.date.fromisoformat(text) if text else None,
+                    lambda text: bool(int(text))][:off] + [float] * len(names) + [int]
+
+        X, y, pids, dates, synth, lines = [], [], [], [], [], []
+        for line, cells in read_csv(path, columns):
+            pid, date, flag = cells[:off] or ("", None, False)
+            pids.append(pid)
+            dates.append(date)
+            synth.append(flag)
+            X.append(cells[off:-1])
+            y.append(cells[-1])
+            lines.append(line)
         bad = [i for i, label in enumerate(y) if label not in (0, 1)]
         if bad:
             raise MalformedRow(path, lines[bad[0]], "label", f"{y[bad[0]]} is not 0 or 1")

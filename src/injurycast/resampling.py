@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data_model import Role
 from .errors import TooFewMinority
 from .features import TrainingTable
 
@@ -81,7 +82,7 @@ def adasyn(table: TrainingTable, cfg: ResamplingConfig) -> TrainingTable:
 
     # interpolation partners come from minority points only
     k_min = min(K_NEIGHBORS, len(minority) - 1)
-    if not any(np.linalg.norm(Zmin - z, axis=1).any() for z in Zmin):
+    if (Zmin == Zmin[0]).all():
         warnings.warn("all minority points are identical; ADASYN will duplicate them")
 
     role_col = (table.feature_names.index("role")
@@ -108,7 +109,7 @@ def adasyn(table: TrainingTable, cfg: ResamplingConfig) -> TrainingTable:
     new *= np.array(lam)[:, None]
     new += xi
     if role_col is not None:
-        new[:, role_col] = np.clip(np.rint(new[:, role_col]), 0, 4)
+        new[:, role_col] = np.clip(np.rint(new[:, role_col]), 0, len(Role) - 1)
 
     return TrainingTable(
         list(table.feature_names), X, np.concatenate([y, np.ones(n_new, dtype=int)]),

@@ -174,6 +174,20 @@ BAD_INPUTS = {
     "table-label-negative-train": (["train", "--table", "t.csv", "--seed", "0",
                                     "--out", "m.json"], {"t.csv": "x,label\n1.0,-1\n"},
                                    1, "t.csv:2 column 'label'"),
+    "players-quoted-id-over-two-lines": (
+        ["ingest", *SEASON],
+        {"players.csv": PLAYERS + '"P\n1",25,180,75,Winger\nP2,0,180,75,Winger\n'},
+        1, "players.csv:4 column 'age'"),
+    "players-empty": (["ingest", *SEASON], {"players.csv": ""},
+                      1, "players.csv:1 column '': missing header"),
+    "table-quoted-id-over-two-lines": (
+        ["train", "--table", "t.csv", "--seed", "0", "--out", "m.json"],
+        {"t.csv": 'player_id,date,synthetic,x,label\n"P\n1",2014-01-06,0,1.0,0\n'
+                  "P2,2014-01-07,0,y,0\n"},
+        1, "t.csv:4 column 'x'"),
+    "table-meta-header-incomplete": (["train", "--table", "t.csv", "--seed", "0",
+                                      "--out", "m.json"], {"t.csv": "player_id,label\nP1,0\n"},
+                                     1, "t.csv:2 column 'player_id'"),
     "absence-past-date-max-ingest": (["ingest", *SEASON],
                                      {"injuries.csv": INJURIES + "P1,2014-01-07,999999999\n"},
                                      1, "injuries.csv:2 column 'days_absent'"),

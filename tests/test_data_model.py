@@ -168,6 +168,29 @@ class TestCsvRoundTrip:
                                        key=lambda i: (i.player_id, i.onset_date))
         assert back.sessions == log.sessions  # repr() round-trips floats exactly
 
+    def test_values_that_g_would_round_read_back_equal(self, tmp_path):
+        """%g keeps six significant digits, so these two are written with repr."""
+        log = SeasonLog(players={"P01": make_profile(height=181.23456)},
+                        sessions={"P01": [make_session(play_time=1234567.5)]}, injuries=[])
+        paths = [tmp_path / n for n in ("s.csv", "i.csv", "p.csv")]
+        write_season_csvs(log, *paths)
+        back = parse_season(*paths)
+        assert back.players["P01"].height_cm == 181.23456
+        assert back.sessions["P01"][0].play_time == 1234567.5
+
+    def test_rows_of_blank_cells_read_as_absent(self, tmp_path, small_season):
+        log, _ = small_season
+        paths = [tmp_path / n for n in ("s.csv", "i.csv", "p.csv")]
+        write_season_csvs(log, *paths)
+        clean = parse_season(*paths)
+        for path in paths:
+            lines = path.read_text().splitlines(keepends=True)
+            width = lines[0].count(",")
+            path.write_text("".join(lines[:2] + [" ," * width + "\r\n"] + lines[2:]))
+        back = parse_season(*paths)
+        assert (back.players, back.sessions, back.injuries) == (
+            clean.players, clean.sessions, clean.injuries)
+
     def _write(self, path, text):
         path.write_text(text)
         return str(path)

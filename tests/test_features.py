@@ -497,6 +497,21 @@ class TestTrainingTable:
         assert back.feature_names == list(t.feature_names)
 
     @pytest.mark.parametrize("include_meta", [False, True])
+    def test_csv_row_of_blank_cells_reads_as_absent(self, tmp_path, include_meta):
+        t = rand_table(n=6, p=3, n_pos=2, seed=4)
+        t.dates = [day(i) for i in range(6)]
+        path = tmp_path / "t.csv"
+        t.to_csv(path, include_meta=include_meta)
+        lines = path.read_text().splitlines(keepends=True)
+        blank = "," * lines[0].count(",") + "\r\n"
+        path.write_text("".join(lines[:3] + [blank, "\r\n"] + lines[3:]))
+        back = TrainingTable.from_csv(path)
+        np.testing.assert_array_equal(back.X, t.X)
+        np.testing.assert_array_equal(back.y, t.y)
+        if include_meta:
+            assert back.dates == t.dates
+
+    @pytest.mark.parametrize("include_meta", [False, True])
     def test_csv_bytes_match_the_csv_writer(self, tmp_path, include_meta):
         season, _ = generate(GeneratorConfig(seed=7, n_players=4, weeks=6))
         generated, _ = build_training_table(assign_labels(season), season.players)

@@ -6,6 +6,9 @@ learners, resampling, the pipeline and the walk-forward use them. An import the
 other way lets a table learn how a tree reads it, so this parses the two modules
 and fails on such an import. The tree owns routing and refits on arrays alone, so
 a tree.py that reaches for a table, a metric or a learner fails too.
+
+Every CSV the package reads goes through one reader, data_model.read_csv, so
+a second call of csv.reader, or of csv.DictReader, fails as well.
 """
 import ast
 import pathlib
@@ -55,3 +58,37 @@ def test_the_check_sees_each_import_form(tmp_path):
                     "from . import pipeline\nfrom injurycast import simulate\n"
                     "from injurycast.resampling import adasyn\nimport numpy\n")
     assert package_modules_imported(path) == UPPER_LAYERS
+
+
+def csv_reader_calls(path):
+    """Names of the functions in a source file that call csv.reader or
+    csv.DictReader, or that import either from csv ("<module>" at top level)."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Attribute) and node.attr in ("reader", "DictReader")
+                and isinstance(node.value, ast.Name) and node.value.id == "csv"
+                or isinstance(node, ast.ImportFrom) and node.module == "csv"
+                and {a.name for a in node.names} & {"reader", "DictReader", "*"}):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+    visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
+def test_csv_is_read_only_in_read_csv():
+    calls = {f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+             for name in csv_reader_calls(path)}
+    assert calls == {"data_model.read_csv"}
+
+
+def test_the_csv_check_sees_each_reader_form(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("import csv\nfrom csv import reader\n"
+                    "def a(fh):\n    return csv.reader(fh)\n"
+                    "def b(fh):\n    return list(csv.DictReader(fh))\n"
+                    "def c(fh):\n    csv.writer(fh).writerow([1])\n")
+    assert csv_reader_calls(path) == {"<module>", "a", "b"}
