@@ -128,7 +128,7 @@ class TrainingTable:
             pids.append(pid)
             dates.append(date)
             synth.append(flag)
-            X.append(cells[off:-1])
+            X.append(np.array(cells[off:-1], dtype=float))  # no list of floats kept
             y.append(cells[-1])
             lines.append(line)
         bad = [i for i, label in enumerate(y) if label not in (0, 1)]

@@ -29,10 +29,19 @@ def standardize(X: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return (X - mu) / sd
 
 
-def _nearest(Z: np.ndarray, i: int, k: int) -> np.ndarray:
-    """The k rows of Z nearest to row i, ties in row order, row i excluded."""
-    order = np.argsort(np.linalg.norm(Z - Z[i], axis=1), kind="stable")
-    return order[order != i][:k]
+def _nearest(Z: np.ndarray, i: int, k: int, buf: np.ndarray) -> np.ndarray:
+    """The k rows of Z nearest to row i, ties in row order, row i excluded; buf is
+    a C-ordered float array of Z's shape, overwritten.
+
+    The distances are np.linalg.norm(Z - Z[i], axis=1) to the bit, by its own
+    operations for real input, and only the rows at or below the k-th distance
+    are sorted (stably, as a full stable sort would order them)."""
+    np.subtract(Z, Z[i], out=buf)
+    np.square(buf, out=buf)
+    dist = np.sqrt(np.add.reduce(buf, axis=1))
+    dist[i] = np.inf
+    near = np.flatnonzero(dist <= np.partition(dist, k - 1)[k - 1])
+    return near[np.argsort(dist[near], kind="stable")][:k]
 
 
 def adasyn(table: TrainingTable, cfg: ResamplingConfig) -> TrainingTable:
@@ -62,9 +71,10 @@ def adasyn(table: TrainingTable, cfg: ResamplingConfig) -> TrainingTable:
 
     # majority fraction among the k nearest neighbors in the full table
     k_full = min(K_NEIGHBORS, len(table) - 1)
+    buf = np.empty_like(Z)  # every _nearest call's differences, one (n, p) block
     r = np.empty(len(minority))
     for i, row_idx in enumerate(minority):
-        nbrs = _nearest(Z, row_idx, k_full)
+        nbrs = _nearest(Z, row_idx, k_full, buf)
         r[i] = np.mean(y[nbrs] == 0)
     if r.sum() == 0:
         # pure-minority neighborhoods everywhere: fall back to uniform allocation
@@ -92,10 +102,11 @@ def adasyn(table: TrainingTable, cfg: ResamplingConfig) -> TrainingTable:
     # point with synthetics, in row order, a partner then a weight for each
     partners, lam = [], []
     for i in np.flatnonzero(alloc):
-        nbrs = minority[_nearest(Zmin, i, k_min)]
+        nbrs = minority[_nearest(Zmin, i, k_min, buf[:len(minority)])]
         for _ in range(alloc[i]):
             partners.append(nbrs[rng.integers(len(nbrs))])
             lam.append(rng.random())  # the draw of rng.uniform(), with less overhead
+    del Z, Zmin, buf  # dead: freed before the output is allocated
 
     # x_i + lam * (partner - x_i), written in place: IEEE + and * commute exactly
     n = len(table)

@@ -255,6 +255,11 @@ class Presorted:
         return out
 
 
+# values per buffer row that a node search gathers at once (1 MiB per float
+# row); a block changes no split, since each candidate's minimum is its own row's
+_BLOCK = 1 << 17
+
+
 def _shaped(buf, shape):
     """The first values of a flat buffer as a C-ordered array of `shape`."""
     return buf[:shape[0] * shape[1]].reshape(shape)
@@ -273,7 +278,8 @@ def _gini(pos, sizes, tmp):
 
 
 def _best_split(sv, sy, min_leaf, scratch):
-    """Best split of one node over its candidate features, in one vectorised pass.
+    """Best split of one node over a block of its candidate features, in one
+    vectorised pass.
 
     Row j of sv holds the node's values of candidate j in ascending order and
     row j of sy their labels. Returns (j, threshold, weighted child impurity,
@@ -333,7 +339,7 @@ def fit_tree(table_or_X, y=None, feature_names=None,
 
     Each column is sorted once per fit (Presorted); a search that fits many
     trees on the same rows builds one Presorted and calls _grow. A node searches
-    all candidate features in one vectorised pass and hands its children a
+    its candidate features in a few vectorised blocks and hands its children a
     stable filter of its sorted rows. Nodes grow from an explicit stack in
     preorder, so depth is not bounded by the recursion limit.
     """
@@ -379,8 +385,10 @@ def _grow(data: Presorted, hp: TreeHyperParams = TreeHyperParams(), seed: int = 
     A narrowed data (Presorted.drop) is read through its live columns: a fit
     gathers their sorted rows once, when a node first searches them, and a
     node under a changed one filters them by its mask, so no kept node copies
-    a (columns × rows) array. The node searches write into one block of
-    buffers allocated per call.
+    a (columns × rows) array. A node searches its candidates in blocks of at
+    most _BLOCK values per buffer row, or one candidate's rows if more, all
+    written into one set of buffers allocated per call, so a fit's buffers
+    stay bounded however many columns the table has.
     """
     if prev is not None and max_features is not None:
         raise ValueError("a refit from a previous tree cannot subsample features")
@@ -414,9 +422,10 @@ def _grow(data: Presorted, hp: TreeHyperParams = TreeHyperParams(), seed: int = 
     all_rows = data.rows if p == len(data.rows) else None  # live rows, gathered on use
     # the most rows a search reads: a refit searches only at and under changed nodes
     n_max = n_total if prev is None else prev.counts[changed].sum(axis=1).max()
-    size = (p if max_features is None else min(max_features, p)) * n_max
-    # every (candidates × rows) array of the searches, in one block that nodes
-    # reuse (and the allocator keeps for the next fit): each node's sorted rows,
+    n_cand = p if max_features is None else min(max_features, p)
+    size = min(n_cand * n_max, max(_BLOCK, n_max))
+    # every (candidates × rows) array of a search block, in one buffer that nodes
+    # reuse (and the allocator keeps for the next fit): each block's sorted rows,
     # labels and values, and _best_split's scratch; the row indices are dead
     # once the labels and values are taken, so the scratch reuses their row
     block = np.empty((5, size))
@@ -470,20 +479,31 @@ def _grow(data: Presorted, hp: TreeHyperParams = TreeHyperParams(), seed: int = 
             cand = feature_order
             if max_features is not None and max_features < p:
                 cand = rng.choice(p, size=max_features, replace=False)
-            # mode="clip" (indices are in range) lets take write into out unbuffered
-            shape = (len(cand), rows.shape[1])
-            index = np.take(rows, cand, axis=0, out=_shaped(gathered, shape), mode="clip")
-            sy = np.take(y, index, out=_shaped(sy_buf, shape), mode="clip")
-            np.add(index, offsets[cand], out=index)
-            sv = np.take(cols, index, out=_shaped(sv_buf, shape), mode="clip")
-            split = _best_split(sv, sy, hp.min_samples_leaf, scratch)
-            if split is None:
+            # blocks of candidates, in order: the first block holding the lowest
+            # minimum wins, so ties go to the first candidate as in one pass
+            step = max(1, _BLOCK // rows.shape[1])
+            row_min = np.full(len(cand), np.inf)
+            best_child_imp = np.inf
+            for start in range(0, len(cand), step):
+                part = cand[start:start + step]
+                # mode="clip" (indices are in range) lets take write into out unbuffered
+                shape = (len(part), rows.shape[1])
+                index = np.take(rows, part, axis=0, out=_shaped(gathered, shape), mode="clip")
+                sy = np.take(y, index, out=_shaped(sy_buf, shape), mode="clip")
+                np.add(index, offsets[part], out=index)
+                sv = np.take(cols, index, out=_shaped(sv_buf, shape), mode="clip")
+                split = _best_split(sv, sy, hp.min_samples_leaf, scratch)
+                if split is None:
+                    continue
+                j, thr, child_imp, row_min[start:start + step] = split
+                if child_imp < best_child_imp:
+                    best_feat, best_thr, best_child_imp = int(part[j]), thr, child_imp
+                    # taken now: the next block overwrites sv
+                    goes_left[rows[best_feat]] = sv[j] <= thr
+            if best_child_imp == np.inf:
                 continue
-            j, best_thr, best_child_imp, row_min = split
-            best_feat = int(cand[j])
             memo_row = row_min[rank] if max_features is None else None
             children = (-1, -1)
-            goes_left[rows[best_feat]] = sv[j] <= best_thr
         decrease = impurity - best_child_imp
         if decrease <= 1e-12:
             continue

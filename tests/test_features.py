@@ -544,6 +544,21 @@ class TestTrainingTable:
             tracemalloc.stop()
         assert peak < 0.5 * table.X.nbytes
 
+    def test_csv_read_peak_memory_is_a_few_tables(self, tmp_path):
+        # each row is packed into float64 as it is read; a Python float for every
+        # cell, kept to the end, alone would be about 4x X.nbytes
+        log, _ = generate(GeneratorConfig(seed=7))
+        table, _ = build_training_table(assign_labels(log), log.players)
+        table.to_csv(tmp_path / "t.csv", include_meta=True)
+        tracemalloc.start()
+        try:
+            back = TrainingTable.from_csv(tmp_path / "t.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.X.tobytes() == table.X.tobytes()
+        assert peak < 4 * table.X.nbytes
+
     def test_fit_after_replace_matches_a_fresh_table(self):
         t = planted_table(n=120, seed=2)
         fit_tree(t, hp=TreeHyperParams(max_depth=3))

@@ -8,7 +8,7 @@ from injurycast.data_model import assign_labels
 from injurycast.errors import TooFewMinority
 from injurycast.features import build_training_table
 from injurycast.generator import GeneratorConfig, generate
-from injurycast.resampling import ResamplingConfig, adasyn, standardize
+from injurycast.resampling import ResamplingConfig, _nearest, adasyn, standardize
 
 from conftest import rand_table
 
@@ -115,6 +115,17 @@ class TestRowAtATimeDistances:
             out = adasyn(table, ResamplingConfig(seed=seed))
         assert out.X.tobytes() == want_X.tobytes()
         assert any("identical" in str(w.message) for w in caught) == want_warning
+
+    @pytest.mark.parametrize("build", [tied_table, duplicated_table,
+                                       identical_minority_table])
+    def test_nearest_is_the_head_of_a_full_stable_sort(self, build):
+        X = build(3).X
+        Z = standardize(X, X)
+        buf = np.empty_like(Z)
+        for k in (1, 5, len(Z) - 1):
+            for i in range(len(Z)):
+                order = np.argsort(np.linalg.norm(Z - Z[i], axis=1), kind="stable")
+                np.testing.assert_array_equal(_nearest(Z, i, k, buf), order[order != i][:k])
 
     @pytest.mark.parametrize("seed", [7, 11])
     def test_byte_equal_on_a_default_season(self, seed):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -785,3 +787,81 @@ class TestChainedRefit:
         prev = _grow(Presorted(X, y))
         with pytest.raises(ValueError):
             _grow(Presorted(X[:, :1], y), prev=prev, dropped=1, max_features=1)
+
+
+ONE_BLOCK = tree._BLOCK  # the package's block: every search in these tests fits in one
+
+
+@pytest.fixture(params=[1, 80])
+def small_blocks(request, monkeypatch):
+    """_grow's search blocks cut to `param` values per buffer row: for 1, one
+    candidate per block at every node; for 80, one at nodes of more than 40 rows
+    and two or more below."""
+    monkeypatch.setattr(tree, "_BLOCK", request.param)
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestMatchesReferenceFitterInSmallBlocks(TestMatchesReferenceFitter):
+    """The reference fitter's oracles with each node's candidates searched a few at
+    a time."""
+
+
+class TestChainedRefitInSmallBlocks(TestChainedRefit):
+    """Refits from blocked fits, checked against blocked fresh fits (whose models
+    the class above checks against the reference fitter); blocks of 80 values
+    alone, as every size of a generated season is fitted twice."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(tree, "_BLOCK", 80)
+
+
+class TestBlockedSearch:
+    def test_copies_in_different_blocks_tie_to_the_first_in_feature_order(
+            self, monkeypatch, split_rows):
+        # column 4 copies column 1, the only informative one, so the two tie at
+        # the root; blocks of two candidates put them in different blocks
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(200, 6))
+        X[:, 4] = X[:, 1]
+        y = (X[:, 1] + rng.normal(scale=0.3, size=200) > 0).astype(int)
+        names = [f"f{i}" for i in range(6)]
+        firsts = set()
+        for seed in range(12):
+            order = list(np.random.default_rng(seed).permutation(6))
+            if order.index(1) // 2 == order.index(4) // 2:
+                continue
+            monkeypatch.setattr(tree, "_BLOCK", ONE_BLOCK)
+            one_block = fit_tree(X, y, names, seed=seed)
+            monkeypatch.setattr(tree, "_BLOCK", 2 * 200)
+            split_rows.clear()
+            blocked = fit_tree(X, y, names, seed=seed)
+            assert split_rows[:3] == [(2, 200)] * 3
+            first = min(1, 4, key=order.index)
+            firsts.add(first)
+            assert blocked.feature[0] == first
+            assert blocked.to_json() == one_block.to_json()
+            np.testing.assert_array_equal(blocked._minima, one_block._minima)
+        assert firsts == {1, 4}
+
+    def test_minima_of_a_blocked_fit_equal_one_blocks(self, balanced_season, small_blocks,
+                                                      monkeypatch):
+        t = balanced_season
+        hp = TreeHyperParams(max_depth=6)
+        blocked = fit_tree(t, hp=hp, seed=7)
+        monkeypatch.setattr(tree, "_BLOCK", ONE_BLOCK)
+        one_block = fit_tree(t, hp=hp, seed=7)
+        assert blocked.to_json() == one_block.to_json()
+        np.testing.assert_array_equal(blocked._minima, one_block._minima)
+
+    def test_peak_memory_is_bounded_by_the_block(self):
+        # one (candidates x rows) buffer row would be 20 x 30,000 values, and
+        # five of them alone 5x X.nbytes
+        table = rand_table(n=30000, p=20, n_pos=3000, seed=0)
+        tracemalloc.start()
+        try:
+            fit_tree(table, hp=TreeHyperParams(max_depth=5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * table.X.nbytes
