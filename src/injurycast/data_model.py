@@ -4,6 +4,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import datetime as dt
+import io
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -202,13 +203,12 @@ def _season_columns(names, *converters):
     return columns
 
 
-def _number(conv, positive=False):
-    """conv(text), refused with a ValueError unless finite and, if asked, > 0."""
+def _positive(conv):
+    """conv(text), refused with a ValueError unless finite and > 0."""
     def parse(text):
         value = conv(text)
-        if not math.isfinite(value) or positive and value <= 0:
-            raise ValueError(f"{text.strip()!r} is not a finite"
-                             f"{' positive' if positive else ''} number")
+        if not math.isfinite(value) or value <= 0:
+            raise ValueError(f"{text.strip()!r} is not a finite positive number")
         return value
     return parse
 
@@ -231,7 +231,7 @@ def parse_season(sessions_file, injuries_file, players_file) -> SeasonLog:
     date or an absence ending after date.max included), UnknownPlayer,
     DuplicateSession or NegativeWorkload; never silently drops a row.
     """
-    finite, positive, positive_int = _number(float), _number(float, True), _number(int, True)
+    positive, positive_int = _positive(float), _positive(int)
     players = {}
     columns = _season_columns(PLAYERS_HEADER, str.strip, positive_int, positive, positive, _role)
     for line, (pid, *profile) in read_csv(players_file, columns):
@@ -242,8 +242,12 @@ def parse_season(sessions_file, injuries_file, players_file) -> SeasonLog:
     sessions = {pid: [] for pid in players}
     seen = set()
     n = len(WORKLOAD_FEATURES)
-    columns = _season_columns(SESSIONS_HEADER, str.strip, _date, *[finite] * (n + 1), int)
+    columns = _season_columns(SESSIONS_HEADER, str.strip, _date, *[float] * (n + 1), int)
     for line, (pid, date, *values) in read_csv(sessions_file, columns):
+        if not all(map(math.isfinite, values[:n + 1])):  # one check per row
+            name, value = next((name, value) for name, value in zip(SESSIONS_HEADER[2:], values)
+                               if not math.isfinite(value))
+            raise MalformedRow(sessions_file, line, name, f"'{value}' is not a finite number")
         if pid not in players:
             raise UnknownPlayer(f"{sessions_file}:{line}: unknown player '{pid}'")
         if (pid, date) in seen:
@@ -321,8 +325,17 @@ def _short(value) -> str:
     return text if float(text) == value else repr(float(value))
 
 
+def _csv_cell(value) -> str:
+    """`value` as csv.writer writes it inside a row, quoted where it must be (a
+    row of one empty cell would be quoted, so the row written has two)."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([value, ""])
+    return buf.getvalue()[:-len(",\r\n")]
+
+
 def write_season_csvs(log: SeasonLog, sessions_file, injuries_file, players_file) -> None:
-    """Inverse of parse_season; used by the generator and for round-trip tests."""
+    """Inverse of parse_season; used by the generator and for round-trip tests. The
+    session rows are joined by hand, as csv.writer would write them."""
     with open(players_file, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(PLAYERS_HEADER)
@@ -331,13 +344,12 @@ def write_season_csvs(log: SeasonLog, sessions_file, injuries_file, players_file
             w.writerow([p.player_id, p.age, _short(p.height_cm), _short(p.body_mass_kg),
                         p.role.value])
     with open(sessions_file, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(SESSIONS_HEADER)
+        csv.writer(fh).writerow(SESSIONS_HEADER)
         for pid in sorted(log.sessions):
-            for s in log.sessions[pid]:
-                w.writerow([s.player_id, s.date.isoformat()]
-                           + [repr(float(s.workload[f])) for f in WORKLOAD_FEATURES]
-                           + [_short(s.play_time), s.games])
+            head = _csv_cell(pid)  # the key is the player of every session under it
+            fh.writelines(f"{head},{s.date.isoformat()},"
+                          f"{','.join([repr(float(s.workload[f])) for f in WORKLOAD_FEATURES])},"
+                          f"{_short(s.play_time)},{s.games}\r\n" for s in log.sessions[pid])
     with open(injuries_file, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(INJURIES_HEADER)

@@ -3,14 +3,14 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import io
 import json
+import math
 from dataclasses import dataclass
 from itertools import groupby, repeat
 
 import numpy as np
 
-from .data_model import WORKLOAD_FEATURES, LabelingResult, read_csv
+from .data_model import WORKLOAD_FEATURES, LabelingResult, _csv_cell, read_csv
 from .errors import EmptySeries, MalformedRow, MissingWindow
 
 PERSONAL_FEATURES = ("age", "bmi", "role", "pi", "play_time", "games")
@@ -36,14 +36,6 @@ MSWR_CAP = 10.0
 # a player's day numbers are rank * _PLAYER_DAYS + date ordinal: wider apart than any
 # date range plus the longest window, so no window reaches another player's sessions
 _PLAYER_DAYS = dt.date.max.toordinal() + ACWR_CHRONIC_DAYS
-
-
-def _csv_cell(value) -> str:
-    """`value` as csv.writer writes it inside a row, quoted where it must be (a
-    row of one empty cell would be quoted, so the row written has two)."""
-    buf = io.StringIO()
-    csv.writer(buf).writerow([value, ""])
-    return buf.getvalue()[:-len(",\r\n")]
 
 
 @dataclass
@@ -243,6 +235,25 @@ def _mswr_rows(W, days, as_of) -> np.ndarray:
             ratio[:, at] = np.where(std < 1e-9, MSWR_CAP,
                                     np.minimum(mean[..., 0] / np.maximum(std, 1e-9), MSWR_CAP))
     return ratio
+
+
+def _week_monotony(values) -> float:
+    """`_mswr_rows` of one window of at most seven floats, in plain floats and in
+    its order of operations: numpy sums fewer than eight values left to right (more,
+    pairwise), so the loops below give the same bits; `sum()` would not, being
+    compensated from Python 3.12."""
+    n = len(values)
+    if n < 2:
+        return MSWR_CAP
+    total = 0.0
+    for v in values:
+        total += v
+    mean = total / n
+    total = 0.0
+    for v in values:
+        total += (v - mean) * (v - mean)
+    std = math.sqrt(total / (n - 1))
+    return MSWR_CAP if std < 1e-9 else min(mean / max(std, 1e-9), MSWR_CAP)
 
 
 def _one_series(dates, values, as_of: dt.date):

@@ -16,7 +16,7 @@ from .data_model import (
     WORKLOAD_FEATURES,
 )
 from .errors import ConfigInvalid
-from .features import EWMA_SPAN, MSWR_WINDOW_DAYS, mswr
+from .features import EWMA_SPAN, MSWR_WINDOW_DAYS, _week_monotony
 
 # season-level mean/sd calibration targets for each workload feature
 DEFAULT_FEATURE_STATS = {
@@ -194,6 +194,13 @@ def _draw_workload(rng, plan, multiplier):
     return w
 
 
+def _tenths(x: float) -> float:
+    """float(np.round(x, 1)) in plain floats, bit for bit: numpy computes
+    rint(x * 10) / 10, round() rounds half to even as rint does, and an exact
+    integer divided by 10 is rounded correctly either way."""
+    return round(x * 10.0) / 10
+
+
 def _profiles(rng, n_players):
     roles = list(Role)
     profiles = []
@@ -201,8 +208,8 @@ def _profiles(rng, n_players):
         profiles.append(PlayerProfile(
             player_id=f"P{i + 1:02d}",
             age=int(rng.integers(18, 35)),
-            height_cm=float(np.round(rng.normal(179, 5), 1)),
-            body_mass_kg=float(np.round(rng.normal(78, 8), 1)),
+            height_cm=_tenths(rng.normal(179, 5)),
+            body_mass_kg=_tenths(rng.normal(78, 8)),
             role=roles[int(rng.integers(len(roles)))],
         ))
     return profiles
@@ -235,7 +242,7 @@ def generate(cfg: GeneratorConfig):
         multiplier = float(rng.lognormal(0.0, cfg.player_spread))
         absent_until = None  # last date of the current absence window
         sessions_since_return = None  # None until the first injury
-        hist_dates, hist_tot = [], []
+        hist_days, hist_tot = [], []  # ordinals and d_tot of the last seven sessions
         hsr_ewma = pi_ewma = None  # running EWMA states
         pi_count = 0
         games = 0
@@ -246,9 +253,8 @@ def generate(cfg: GeneratorConfig):
             base = int(cfg.sessions_per_week)
             n_sess = base + (1 if rng.random() < cfg.sessions_per_week - base else 0)
             n_sess = min(n_sess, 7)
-            days = np.sort(rng.choice(7, size=n_sess, replace=False))
-            for day in days:
-                date = week_start + dt.timedelta(days=int(day))
+            for day in sorted(rng.choice(7, size=n_sess, replace=False).tolist()):
+                date = week_start + dt.timedelta(days=day)
                 if absent_until is not None and date <= absent_until:
                     continue
                 # players ease back into training right after an injury
@@ -263,18 +269,21 @@ def generate(cfg: GeneratorConfig):
                     games += 1
                 session = TrainingSession(
                     player_id=pid, date=date, workload=workload,
-                    play_time=float(np.round(rng.uniform(0, 95), 1)), games=games)
+                    play_time=_tenths(rng.uniform(0, 95)), games=games)
                 player_sessions.append(session)
-                hist_dates.append(date)
+                day_no = date.toordinal()
+                hist_days.append(day_no)
                 hist_tot.append(workload["d_tot"])
                 # one session a day at most: the last week's are among the last seven
-                del hist_dates[:-MSWR_WINDOW_DAYS], hist_tot[:-MSWR_WINDOW_DAYS]
+                del hist_days[:-MSWR_WINDOW_DAYS], hist_tot[:-MSWR_WINDOW_DAYS]
                 hsr_ewma = _ewma_step(hsr_ewma, workload["d_hsr"])
                 pi_ewma = _ewma_step(pi_ewma, pi_count)
 
+                week_tot = [t for d, t in zip(hist_days, hist_tot)
+                            if d > day_no - MSWR_WINDOW_DAYS]
                 feats = {
                     "d_hsr_ewma": hsr_ewma,
-                    "d_tot_mswr": mswr(hist_dates, hist_tot, date),
+                    "d_tot_mswr": _week_monotony(week_tot),
                     "pi_ewma": pi_ewma,
                 }
                 cause = None

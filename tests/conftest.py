@@ -3,6 +3,7 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from injurycast.data_model import (
     InjuryRecord,
@@ -12,6 +13,11 @@ from injurycast.data_model import (
     TrainingSession,
 )
 from injurycast.features import TrainingTable
+
+# every hypothesis test draws the same examples on every run and keeps none between
+# runs; a test's own settings (max_examples, deadline) still apply
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 D0 = dt.date(2014, 1, 1)
 

@@ -1,14 +1,17 @@
+import csv
 import datetime as dt
 
 import pytest
 
 from injurycast.data_model import (
+    SESSIONS_HEADER,
     InjuryRecord,
     Role,
     SeasonLog,
     TrainingSession,
     WORKLOAD_FEATURES,
     assign_labels,
+    _short,
     parse_season,
     write_season_csvs,
 )
@@ -235,3 +238,63 @@ class TestCsvRoundTrip:
                               "player_id,age,height_cm,mass_kg,role\nP01,25,180\n")
         with pytest.raises(MalformedRow, match="columns"):
             parse_season(players, players, players)
+
+
+def reference_sessions_csv(log, path):
+    """write_season_csvs's session file as first written: one csv.writer row per session."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(SESSIONS_HEADER)
+        for pid in sorted(log.sessions):
+            for s in log.sessions[pid]:
+                w.writerow([s.player_id, s.date.isoformat()]
+                           + [repr(float(s.workload[f])) for f in WORKLOAD_FEATURES]
+                           + [_short(s.play_time), s.games])
+
+
+class TestSessionWriter:
+    def test_bytes_match_the_csv_writer(self, tmp_path, small_season):
+        odd = ["a,b", 'say "hi"', "two\nlines", "cr\r", " pad ", "P01"]
+        sessions = {pid: [make_session(pid=pid, date=day(i), play_time=pt, games=i,
+                                       d_tot=4000.0 + 1e-9 * i, fi=1e-300)
+                          for i, pt in enumerate((0.0, 94.8, 1234567.5, 1e-7))]
+                    for pid in odd}
+        built = SeasonLog(players={pid: make_profile(pid) for pid in odd},
+                          sessions=sessions, injuries=[])
+        for log in (small_season[0], built):
+            paths = [tmp_path / n for n in ("s.csv", "i.csv", "p.csv")]
+            write_season_csvs(log, *paths)
+            reference_sessions_csv(log, tmp_path / "ref.csv")
+            assert paths[0].read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+class TestNonFiniteSessionCells:
+    PLAYERS = "player_id,age,height_cm,mass_kg,role\nP01,25,180,75,Midfielder\n"
+    INJURIES = "player_id,onset_date,days_absent\n"
+
+    def _season(self, tmp_path, row):
+        header = ",".join(SESSIONS_HEADER) + "\n"
+        paths = []
+        for name, text in (("s.csv", header + row), ("i.csv", self.INJURIES),
+                           ("p.csv", self.PLAYERS)):
+            (tmp_path / name).write_text(text)
+            paths.append(str(tmp_path / name))
+        return paths
+
+    @pytest.mark.parametrize("column,cell", [("d_tot", "nan"), ("fi", "-inf"),
+                                             ("play_time", "inf"), ("d_hsr", " NaN ")])
+    def test_names_the_first_non_finite_cell(self, tmp_path, column, cell):
+        values = ["1.0"] * len(WORKLOAD_FEATURES) + ["0", "0"]
+        values[SESSIONS_HEADER.index(column) - 2] = cell
+        paths = self._season(tmp_path, "P01,2014-01-06," + ",".join(values) + "\n")
+        with pytest.raises(MalformedRow) as exc:
+            parse_season(*paths)
+        message = str(exc.value)
+        assert f"s.csv:2 column '{column}'" in message
+        assert f"'{float(cell)}' is not a finite number" in message
+
+    def test_is_checked_before_the_player(self, tmp_path):
+        values = ["1.0"] * len(WORKLOAD_FEATURES) + ["nan", "0"]
+        paths = self._season(tmp_path, "P99,2014-01-06," + ",".join(values) + "\n")
+        with pytest.raises(MalformedRow, match="column 'play_time'"):
+            parse_season(*paths)

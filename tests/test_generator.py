@@ -6,11 +6,20 @@ import pytest
 
 from injurycast.data_model import assign_labels
 from injurycast.errors import ConfigInvalid
-from injurycast.features import EWMA_SPAN, build_training_table, ewma, mswr
+from injurycast.features import (
+    EWMA_SPAN,
+    MSWR_CAP,
+    MSWR_WINDOW_DAYS,
+    _week_monotony,
+    build_training_table,
+    ewma,
+    mswr,
+)
 from injurycast.generator import (
     DEFAULT_FEATURE_STATS,
     GeneratorConfig,
     PlantedRule,
+    _tenths,
     default_planted_rules,
     generate,
     planted_feature_names,
@@ -150,3 +159,54 @@ class TestGenerate:
         table, summary = build_training_table(assign_labels(log), log.players)
         assert len(table) == summary.n_examples > 500
         assert summary.n_injury >= 10
+
+
+class TestPlainFloats:
+    """generate's per-session monotony and rounding, bit for bit against the numpy
+    code they stand in for."""
+
+    @pytest.mark.parametrize("seed,n_players", [(7, 26), (11, 26), (7, 104), (11, 104)])
+    def test_week_monotony_matches_mswr_on_every_session(self, seed, n_players):
+        log, _ = generate(GeneratorConfig(seed=seed, n_players=n_players))
+        table, _ = build_training_table(assign_labels(log), log.players)
+        column = table.column("d_tot_mswr").tolist()
+        assert len(column) == log.n_sessions  # every session is a row
+        row = 0
+        for pid in sorted(log.sessions):
+            seq = log.sessions[pid]
+            dates = [s.date for s in seq]
+            tot = [s.workload["d_tot"] for s in seq]
+            for s in seq:
+                week = [t for d, t in zip(dates, tot)
+                        if 0 <= (s.date - d).days < MSWR_WINDOW_DAYS]
+                value = _week_monotony(week)
+                assert value.hex() == mswr(dates, tot, s.date).hex() == column[row].hex()
+                assert table.dates[row] == s.date
+                row += 1
+
+    def test_week_monotony_on_windows_of_one_to_seven(self):
+        rng = np.random.default_rng(0)
+        dates = [dt.date(2014, 1, 1) + dt.timedelta(days=i) for i in range(7)]
+        windows = [[4000.0], [100.0, 100.0001], [0.0, 0.0]]
+        for n in range(1, 8):
+            windows.append([3882.94] * n)  # a std below 1e-9
+            for _ in range(200):
+                windows.append(rng.lognormal(8.0, rng.uniform(0.01, 1.5), size=n).tolist())
+                windows.append(rng.uniform(-1e3, 1e3, size=n).tolist())
+        for values in windows:
+            expected = mswr(dates[:len(values)], values, dates[len(values) - 1])
+            assert _week_monotony(values).hex() == expected.hex(), values
+        assert _week_monotony([4000.0]) == MSWR_CAP  # a single value
+        assert _week_monotony([3882.94] * 7) == MSWR_CAP
+        assert _week_monotony([100.0, 100.0001]) == MSWR_CAP  # the ratio is capped
+
+    def test_tenths_match_numpy_round(self):
+        rng = np.random.default_rng(0)
+        draws = np.concatenate([rng.uniform(0, 95, size=10 ** 5), rng.normal(179, 5, 1000),
+                                rng.normal(78, 8, 1000)])
+        ours = np.array([_tenths(x) for x in draws.tolist()])
+        np.testing.assert_array_equal(ours.view(np.uint64), np.round(draws, 1).view(np.uint64))
+        for x in draws[:1000].tolist() + [0.25, 12.25, 94.75, 0.05, 0.15, 2.5]:
+            assert _tenths(x).hex() == float(np.round(x, 1)).hex(), x
+        # x * 10 is an exact half: both round it to the even neighbour
+        assert [_tenths(x) for x in (0.25, 12.25, 94.75)] == [0.2, 12.2, 94.8]

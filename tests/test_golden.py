@@ -10,6 +10,7 @@ import json
 import pytest
 
 from injurycast.cli import cli_main
+from injurycast.data_model import write_season_csvs
 from injurycast.generator import GeneratorConfig, generate
 from injurycast.pipeline import PipelineConfig
 from injurycast.simulate import walk_forward
@@ -51,6 +52,53 @@ WALK_FORWARD_GOLDEN = {
 WIDE_SEASON = {"n_players": 26, "weeks": 12}
 WIDE_WALK_FORWARD_GOLDEN = {
     19: "0c9adc9536fbbc5ea2934dcb77d0cdeeff73541f0f7f621072798f51d813dc73",
+}
+
+# the seasons the benchmark generates (bench/worker.py), with the SHA-256 of each
+# season CSV copied from the `inputs` of bench/goldens.json and of the ledger JSON,
+# so that a change to the generator or the season writer fails here first
+BENCH_SEASONS = {
+    "club_season": {"n_players": 26, "weeks": 23},
+    "weekly_replay": {"n_players": 26, "weeks": 12},
+    "squad_4x": {"n_players": 104, "weeks": 23},
+}
+BENCH_SEASON_GOLDEN = {
+    ("club_season", 7): {
+        "sessions.csv": "80b0a335b612809977dd2aba518d09d1a38cb086b038309da933a1bb102185ed",
+        "injuries.csv": "409fdf0272cd1a7d758b04465c2026f1edeb36fbe09007ebf926dac182e612e6",
+        "players.csv": "131b59fee35b74010a5033ab18843c8644bd1d2f9597297cb611264740c71d11",
+        "ledger.json": "1fd3e195e188c8a0056149cc46325b51268c307f8a78f16d975525921a8c7eec",
+    },
+    ("club_season", 11): {
+        "sessions.csv": "3ab5fd4bb9801d5d41420ea149cdeb529a49aef97f4ba5ff50be345f5ada9518",
+        "injuries.csv": "83283acdd4db805afbdff79323e6ebfadb25604c121d021d42d27822edbf8de4",
+        "players.csv": "bcb01f6284bca2e38343e089448b73df6f4e38c04aadfc8738b3e3e9fd19f2cc",
+        "ledger.json": "0f1f47311ec7b3020b54c77d4f12f607e2dddfdab79723cb6de659657ed3d06c",
+    },
+    ("weekly_replay", 7): {
+        "sessions.csv": "1318226b0fb637203e9627f66c2b2e4666a32e111ff8edd417073de23548215d",
+        "injuries.csv": "6ceac4262496405625a858f611dca760c83669fadecf18b301bfa89089198a0a",
+        "players.csv": "131b59fee35b74010a5033ab18843c8644bd1d2f9597297cb611264740c71d11",
+        "ledger.json": "d4a1ccdf2aec4fd06ca9b7919c134cfbc4d0a91f7b0c770c17cc6252f53853bd",
+    },
+    ("weekly_replay", 11): {
+        "sessions.csv": "0f0671c9e5a128c7be6f2b54b2e0822a57dada267e56b3823fb8716787a090dc",
+        "injuries.csv": "af02750647e15a15bfe54e6951f1c25ebd38b6ff232644f46b1154e8fb578040",
+        "players.csv": "bcb01f6284bca2e38343e089448b73df6f4e38c04aadfc8738b3e3e9fd19f2cc",
+        "ledger.json": "0bf4dcf2193d380f495e155e8847448ce4f5318cbb790cf5ddb4b49396ecc8be",
+    },
+    ("squad_4x", 7): {
+        "sessions.csv": "ae19c524560ceec96959cde56b1efbd8fa49f681c1b5a4f8d6562db3df225c98",
+        "injuries.csv": "bca9e07041ff11e4312c98f398e8d1533c10871a77b098298ef4378d53f780e1",
+        "players.csv": "071f292387525102270413e9ea99820fa647744c8d801effdaac851df47cb13a",
+        "ledger.json": "fc49d0b18c724b7959eb6efe7615f4f3303a00021032cc3e627a0b384a563ce6",
+    },
+    ("squad_4x", 11): {
+        "sessions.csv": "ba3d9f7e5ccbb0f0a5ec24040cf55a3319f1fb55bea50b6fecfa5fd293fb652c",
+        "injuries.csv": "1f4155760422110cecbde51e52556561eff5bea893dca59de24adb42348e089f",
+        "players.csv": "a46dd57bed5292d0d61516007468186bf4c10538f4f6ae8a6cc2943f99fb29e2",
+        "ledger.json": "897c26354b1e224e636ace021616a124a977ce18f0d3bb312282cbdd6b409089",
+    },
 }
 
 
@@ -104,3 +152,14 @@ def test_wide_season_walk_forward_matches_golden(seed):
     outcomes = walk_forward(log, PipelineConfig(seed=seed), start_week=6)
     text = json.dumps([o.to_dict() for o in outcomes], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == WIDE_WALK_FORWARD_GOLDEN[seed]
+
+
+@pytest.mark.parametrize("workload,seed", sorted(BENCH_SEASON_GOLDEN))
+def test_bench_season_matches_golden(tmp_path, workload, seed):
+    log, ledger = generate(GeneratorConfig(seed=seed, **BENCH_SEASONS[workload]))
+    paths = [tmp_path / name for name in ("sessions.csv", "injuries.csv", "players.csv")]
+    write_season_csvs(log, *paths)
+    texts = {path.name: path.read_bytes() for path in paths}
+    texts["ledger.json"] = ledger.to_json().encode()
+    digests = {name: hashlib.sha256(text).hexdigest() for name, text in texts.items()}
+    assert digests == BENCH_SEASON_GOLDEN[(workload, seed)]
