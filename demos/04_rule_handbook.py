@@ -18,9 +18,9 @@ from injurycast import (
     run_pipeline,
     tune,
 )
+from injurycast.generator import PLANTED_RULES
 
-cfg = GeneratorConfig(seed=4)
-log, ledger = generate(cfg)
+log, ledger = generate(GeneratorConfig(seed=4))
 table, _ = build_training_table(assign_labels(log), log.players)
 
 # Full pipeline for feature selection, then a deployable tree fit on the
@@ -36,7 +36,7 @@ rules = rule_stats(extract_rules(model),
 print(render_handbook(rules))
 
 print("ground truth planted by the generator:")
-for rule in cfg.planted_rules:
+for rule in PLANTED_RULES:
     conds = []
     for feature, lo, hi in rule.conditions:
         if lo is not None:

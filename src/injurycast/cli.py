@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import datetime as dt
 import json
 import math
 import sys
@@ -13,7 +12,7 @@ from decimal import Decimal
 from .data_model import assign_labels, open_utf8, parse_season, write_season_csvs
 from .errors import ConfigInvalid, InjurycastError
 from .features import TrainingTable, build_training_table
-from .generator import GeneratorConfig, PlantedRule, generate
+from .generator import GeneratorConfig, generate
 from .pipeline import (PipelineConfig, _select_and_tune, compare_forecasters,
                        render_comparison, run_pipeline)
 from .rules import extract_rules, render_handbook, rule_stats
@@ -128,34 +127,9 @@ def _cmd_rules(args):
     return 0
 
 
-def _number(value, kind):
-    """value when JSON gave a number of `kind`: int, or float, which takes ints too."""
-    kinds = (int, float) if kind is float else (int,)
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise TypeError(f"need {'a number' if kind is float else 'an integer'}, "
-                        f"got {value!r}")
-    return value
-
-
-def _planted_rule(rule):
-    conditions = tuple((c["feature"], c.get("lo"), c.get("hi")) for c in rule["conditions"])
-    for _, *bounds in conditions:
-        for bound in bounds:
-            if bound is not None:
-                _number(bound, float)
-    return PlantedRule(rule["name"], conditions, _number(rule["probability"], float))
-
-
-# JSON value -> GeneratorConfig value, for the fields that are not plain numbers
-_CONVERT = {
-    "planted_rules": lambda rules: tuple(map(_planted_rule, rules)),
-    "feature_stats": lambda stats: {k: (_number(mean, float), _number(sd, float))
-                                    for k, (mean, sd) in stats.items()},
-    "start_date": dt.date.fromisoformat,
-}
-
-
 def _parse_generator_config(path, seed):
+    """GeneratorConfig(seed=seed) with the JSON integers n_players and weeks the
+    file at path may set."""
     overrides = {}
     if path:
         with open_utf8(path) as fh:
@@ -166,17 +140,13 @@ def _parse_generator_config(path, seed):
     if not set(overrides) <= settable:
         raise ConfigInvalid(f"{path}: cannot set {sorted(set(overrides) - settable)}; "
                             f"settable keys are {sorted(settable)}")
-    cfg = GeneratorConfig(seed=seed)
     for key, value in overrides.items():
-        try:
-            if key in _CONVERT:
-                value = _CONVERT[key](value)
-            else:
-                value = _number(value, type(getattr(cfg, key)))
-            cfg = dataclasses.replace(cfg, **{key: value})  # runs the config's checks
-        except (ConfigInvalid, AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigInvalid(f"{path}: key {key!r}: {exc!r}") from None
-    return cfg
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigInvalid(f"{path}: key {key!r}: need an integer, got {value!r}")
+    try:
+        return GeneratorConfig(seed=seed, **overrides)
+    except ConfigInvalid as exc:
+        raise ConfigInvalid(f"{path}: {exc}") from None
 
 
 def _cmd_generate(args):
@@ -244,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate a synthetic season")
     p.add_argument("--seed", type=_at_least(0), required=True)
-    p.add_argument("--config", help="JSON file of GeneratorConfig overrides")
+    p.add_argument("--config", help="JSON object setting n_players and/or weeks")
     p.add_argument("--sessions", required=True, help="output sessions CSV")
     p.add_argument("--injuries", required=True, help="output injuries CSV")
     p.add_argument("--players", required=True, help="output players CSV")

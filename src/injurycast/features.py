@@ -101,8 +101,8 @@ class TrainingTable:
     @classmethod
     def from_csv(cls, path) -> "TrainingTable":
         """Read a table written by to_csv; a last column not named label, a short
-        row, a cell that is not a finite number or a label other than 0 and 1
-        raises MalformedRow with its line and column."""
+        row, a cell that is not a finite number, or a synthetic flag or label other
+        than 0 and 1 raises MalformedRow with its line and column."""
         names, off = [], 0
 
         def columns(header):
@@ -112,26 +112,28 @@ class TrainingTable:
             off = 3 if header[:3] == ["player_id", "date", "synthetic"] else 0
             names.extend(header[off:-1])
             return [str, lambda text: dt.date.fromisoformat(text) if text else None,
-                    lambda text: bool(int(text))][:off] + [float] * len(names) + [int]
+                    int][:off] + [float] * len(names) + [int]
 
         X, y, pids, dates, synth, lines = [], [], [], [], [], []
         for line, cells in read_csv(path, columns):
-            pid, date, flag = cells[:off] or ("", None, False)
+            pid, date, flag = cells[:off] or ("", None, 0)
             pids.append(pid)
             dates.append(date)
             synth.append(flag)
             X.append(np.array(cells[off:-1], dtype=float))  # no list of floats kept
             y.append(cells[-1])
             lines.append(line)
-        bad = [i for i, label in enumerate(y) if label not in (0, 1)]
-        if bad:
-            raise MalformedRow(path, lines[bad[0]], "label", f"{y[bad[0]]} is not 0 or 1")
+        for column, values in (("synthetic", synth), ("label", y)):
+            bad = [i for i, value in enumerate(values) if value not in (0, 1)]
+            if bad:
+                raise MalformedRow(path, lines[bad[0]], column,
+                                   f"{values[bad[0]]} is not 0 or 1")
         X = np.array(X, dtype=float).reshape(len(y), len(names))
         bad = np.argwhere(~np.isfinite(X))
         if len(bad):
             i, j = bad[0]
             raise MalformedRow(path, lines[i], names[j], f"non-finite value {float(X[i, j])}")
-        return cls(names, X, np.array(y), pids, dates, np.array(synth))
+        return cls(names, X, np.array(y), pids, dates, np.array(synth, dtype=bool))
 
 
 @dataclass

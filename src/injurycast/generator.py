@@ -1,4 +1,7 @@
-"""Seeded synthetic-season generator with a planted, auditable injury mechanism."""
+"""Seeded synthetic-season generator with a planted, auditable injury mechanism.
+
+Its settings are the module constants below; a GeneratorConfig sets only the
+season's size and seed."""
 from __future__ import annotations
 
 import datetime as dt
@@ -13,10 +16,11 @@ from .data_model import (
     Role,
     SeasonLog,
     TrainingSession,
-    WORKLOAD_FEATURES,
 )
 from .errors import ConfigInvalid
 from .features import EWMA_SPAN, MSWR_WINDOW_DAYS, _week_monotony
+
+SESSIONS_PER_WEEK = 3.0  # in (0, 7]; a fraction is a chance of one more session
 
 # season-level mean/sd calibration targets for each workload feature
 DEFAULT_FEATURE_STATS = {
@@ -33,9 +37,6 @@ DEFAULT_FEATURE_STATS = {
     "dsl": (117.98, 78.52),
     "fi": (0.63, 0.31),
 }
-
-# the engineered features generate() tracks after each session: all a rule may read
-RULE_FEATURES = ("d_hsr_ewma", "d_tot_mswr", "pi_ewma")
 
 
 @dataclass(frozen=True)
@@ -60,54 +61,40 @@ class PlantedRule:
         return tuple(f for f, _, _ in self.conditions)
 
 
-def default_planted_rules():
-    """Threshold mechanism over three interpretable features: monotonous
-    high-speed-running blocks injure players who are not already carrying an
-    extensive injury history (high pi_ewma players have dropped out of heavy
-    training and are handled by their coaches)."""
-    return (
-        PlantedRule("monotony_overload",
-                    (("d_tot_mswr", 5.5, None), ("d_hsr_ewma", 160.0, None),
-                     ("pi_ewma", None, 1.8)),
-                    probability=1.0),
-    )
+# Threshold mechanism over three interpretable features, read from the features
+# generate() tracks after each session (d_hsr_ewma, d_tot_mswr, pi_ewma):
+# monotonous high-speed-running blocks injure players who are not already carrying
+# an extensive injury history (high pi_ewma players have dropped out of heavy
+# training and are handled by their coaches).
+PLANTED_RULES = (
+    PlantedRule("monotony_overload",
+                (("d_tot_mswr", 5.5, None), ("d_hsr_ewma", 160.0, None),
+                 ("pi_ewma", None, 1.8)),
+                probability=1.0),
+)
+BASE_INJURY_RATE = 0.0005  # chance of an injury after any session no rule fires on
+PLAYER_SPREAD = 0.15  # sd of the per-player lognormal load multiplier
+RETURN_RAMP_SESSIONS = 4  # sessions trained lighter after an injury
+RETURN_RAMP_FACTOR = 0.6
+START_DATE = dt.date(2014, 1, 1)
+# the last week's sessions fall on its days 0-6, an injury's onset a day later and
+# its absence ends at most 15 days after that, all on or before date.max
+MAX_WEEKS = (dt.date.max.toordinal() - START_DATE.toordinal() - 15) // 7
 
 
 @dataclass(frozen=True)
 class GeneratorConfig:
+    """The season's size and seed; everything else is a module constant."""
     n_players: int = 26
     weeks: int = 23
-    sessions_per_week: float = 3.0
-    feature_stats: dict = field(default_factory=lambda: dict(DEFAULT_FEATURE_STATS))
-    planted_rules: tuple = field(default_factory=default_planted_rules)
-    base_injury_rate: float = 0.0005
-    player_spread: float = 0.15  # sd of the per-player lognormal load multiplier
-    return_ramp_sessions: int = 4  # sessions trained lighter after an injury
-    return_ramp_factor: float = 0.6
-    start_date: dt.date = dt.date(2014, 1, 1)
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_players < 1 or self.weeks < 1:
-            raise ConfigInvalid("n_players and weeks must be positive")
-        if not (0 < self.sessions_per_week <= 7):
-            raise ConfigInvalid("sessions_per_week must be in (0, 7]")
-        if not (0 <= self.base_injury_rate <= 1):
-            raise ConfigInvalid("base_injury_rate must be a probability")
-        if not self.player_spread >= 0:
-            raise ConfigInvalid("player_spread must be >= 0")
-        for name, (mean, sd) in self.feature_stats.items():
-            if mean <= 0 or sd <= 0:
-                raise ConfigInvalid(f"feature '{name}': mean and sd must be positive")
-        if set(self.feature_stats) != set(WORKLOAD_FEATURES):
-            raise ConfigInvalid("feature_stats needs one (mean, sd) pair for each of "
-                                f"{', '.join(WORKLOAD_FEATURES)}")
-        for rule in self.planted_rules:
-            if not (0 <= rule.probability <= 1):
-                raise ConfigInvalid(f"rule '{rule.name}': probability must be in [0, 1]")
-            if not set(rule.features) <= set(RULE_FEATURES):
-                raise ConfigInvalid(f"rule '{rule.name}': conditions may only read "
-                                    f"{', '.join(RULE_FEATURES)}")
+        if self.n_players < 1:
+            raise ConfigInvalid("n_players must be positive")
+        if not 1 <= self.weeks <= MAX_WEEKS:
+            raise ConfigInvalid(f"weeks must be in [1, {MAX_WEEKS}], so that every "
+                                "date of the season is on or before 9999-12-31")
 
 
 @dataclass
@@ -153,7 +140,7 @@ def _mixture_draw(rng, components):
 
 # features drawn as parent x lognormal ratio so the physical orderings
 # (d_hsr <= d_tot, acc3 <= acc2, dec3 <= dec2) hold without clamp bias
-_RATIO_PAIRS = (("d_hsr", "d_tot"), ("acc3", "acc2"), ("dec3", "dec2"))
+_RATIO_PARENT = {"d_hsr": "d_tot", "acc3": "acc2", "dec3": "dec2"}
 
 
 def _ratio_params(child_stats, parent_stats):
@@ -168,28 +155,27 @@ def _ratio_params(child_stats, parent_stats):
 
 def _draw_plan(stats, spread):
     """Precompute draw parameters: mixture targets deflated for the per-player
-    multiplier's mean and variance contribution, plus child ratio params."""
-    children = {c: p for c, p in _RATIO_PAIRS if c in stats and p in stats}
+    multiplier's mean and variance contribution, plus each child's parent and
+    ratio params."""
     e_m = np.exp(spread ** 2 / 2.0)
     var_m = np.exp(spread ** 2) * (np.exp(spread ** 2) - 1.0)
     e_m2 = np.exp(2.0 * spread ** 2)
     mixture = {}
     for name, (mean, sd) in stats.items():
-        if name in children:
+        if name in _RATIO_PARENT:
             continue
         mean_adj = mean / e_m
         var_adj = max((sd ** 2 - var_m * mean ** 2) / e_m2, (0.2 * sd) ** 2)
         mixture[name] = _mixture_components(mean_adj, np.sqrt(var_adj))
-    ratios = {c: _ratio_params(stats[c], stats[p]) for c, p in children.items()}
-    return mixture, ratios, children
+    ratios = {c: (p, *_ratio_params(stats[c], stats[p])) for c, p in _RATIO_PARENT.items()}
+    return mixture, ratios
 
 
 def _draw_workload(rng, plan, multiplier):
-    mixture, ratios, children = plan
+    mixture, ratios = plan
     w = {name: multiplier * _mixture_draw(rng, components)
          for name, components in mixture.items()}
-    for child, parent in children.items():
-        mu, sigma = ratios[child]
+    for child, (parent, mu, sigma) in ratios.items():
         w[child] = w[parent] * min(float(rng.lognormal(mu, sigma)), 1.0)
     return w
 
@@ -224,14 +210,15 @@ def _ewma_step(state, x):
 
 
 def generate(cfg: GeneratorConfig):
-    """Generate a SeasonLog plus a ground-truth ledger naming each injury's cause.
+    """Generate a SeasonLog of cfg.n_players players over cfg.weeks weeks from
+    START_DATE, plus a ground-truth ledger naming each injury's cause.
 
     The injury mechanism evaluates the planted rules on engineered features
     computed exactly as the feature builder computes them, so every planted
     injury's labeled session provably satisfies its causal rule.
     """
     rng = np.random.default_rng(cfg.seed)
-    plan = _draw_plan(cfg.feature_stats, cfg.player_spread)
+    plan = _draw_plan(DEFAULT_FEATURE_STATS, PLAYER_SPREAD)
     profiles = _profiles(rng, cfg.n_players)
     ledger = GroundTruthLedger()
     sessions = {}
@@ -239,7 +226,7 @@ def generate(cfg: GeneratorConfig):
 
     for profile in profiles:
         pid = profile.player_id
-        multiplier = float(rng.lognormal(0.0, cfg.player_spread))
+        multiplier = float(rng.lognormal(0.0, PLAYER_SPREAD))
         absent_until = None  # last date of the current absence window
         sessions_since_return = None  # None until the first injury
         hist_days, hist_tot = [], []  # ordinals and d_tot of the last seven sessions
@@ -249,18 +236,17 @@ def generate(cfg: GeneratorConfig):
         player_sessions = []
 
         for week in range(cfg.weeks):
-            week_start = cfg.start_date + dt.timedelta(days=7 * week)
-            base = int(cfg.sessions_per_week)
-            n_sess = base + (1 if rng.random() < cfg.sessions_per_week - base else 0)
-            n_sess = min(n_sess, 7)
+            week_start = START_DATE + dt.timedelta(days=7 * week)
+            base = int(SESSIONS_PER_WEEK)
+            n_sess = base + (1 if rng.random() < SESSIONS_PER_WEEK - base else 0)
             for day in sorted(rng.choice(7, size=n_sess, replace=False).tolist()):
                 date = week_start + dt.timedelta(days=day)
                 if absent_until is not None and date <= absent_until:
                     continue
                 # players ease back into training right after an injury
-                ramp = (cfg.return_ramp_factor
+                ramp = (RETURN_RAMP_FACTOR
                         if sessions_since_return is not None
-                        and sessions_since_return < cfg.return_ramp_sessions
+                        and sessions_since_return < RETURN_RAMP_SESSIONS
                         else 1.0)
                 if sessions_since_return is not None:
                     sessions_since_return += 1
@@ -287,11 +273,11 @@ def generate(cfg: GeneratorConfig):
                     "pi_ewma": pi_ewma,
                 }
                 cause = None
-                for rule in cfg.planted_rules:
+                for rule in PLANTED_RULES:
                     if rule.fires(feats) and rng.random() < rule.probability:
                         cause = rule.name
                         break
-                if cause is None and rng.random() < cfg.base_injury_rate:
+                if cause is None and rng.random() < BASE_INJURY_RATE:
                     cause = "base_rate"
                 if cause is not None:
                     onset = date + dt.timedelta(days=1)
@@ -314,9 +300,10 @@ def generate(cfg: GeneratorConfig):
     return log, ledger
 
 
-def planted_feature_names(cfg: GeneratorConfig) -> list:
+def planted_feature_names() -> list:
+    """The engineered features PLANTED_RULES read, in the order they first appear."""
     names = []
-    for rule in cfg.planted_rules:
+    for rule in PLANTED_RULES:
         for f in rule.features:
             if f not in names:
                 names.append(f)

@@ -196,7 +196,7 @@ def test_criterion_6_adasyn_properties():
 
 def test_criterion_7_planted_mechanism_recovery():
     t0 = time.perf_counter()
-    planted = set(planted_feature_names(GeneratorConfig()))
+    planted = set(planted_feature_names())
     n_trials = 50
     perf_hits = 0
     selection_hits = 0
@@ -222,8 +222,7 @@ def test_criterion_7_planted_mechanism_recovery():
 
 def test_criterion_8_walk_forward_integrity():
     t0 = time.perf_counter()
-    cfg = GeneratorConfig(seed=0)
-    log, _ = generate(cfg)
+    log, _ = generate(GeneratorConfig(seed=0))
     outcomes = walk_forward(log, PipelineConfig(seed=0), start_week=6)
     start = season_start(log)
 
@@ -241,7 +240,7 @@ def test_criterion_8_walk_forward_integrity():
     trace = feature_trace(outcomes)
     stab = trace["stabilization_week"]
     last_week = outcomes[-1].week
-    planted = set(planted_feature_names(cfg))
+    planted = set(planted_feature_names())
     stable_ok = (stab is not None and stab <= last_week
                  and planted <= set(trace["weeks"][last_week]))
     elapsed = time.perf_counter() - t0

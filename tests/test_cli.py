@@ -105,31 +105,16 @@ BAD_INPUTS = {
                            {"c.json": '{"n_playerz": 3}'}, 1, "n_playerz"),
     "config-not-an-object": (["generate", "--seed", "0", "--config", "c.json", *SEASON],
                              {"c.json": "[1, 2]"}, 1, "object"),
-    "config-rule-without-fields": (["generate", "--seed", "0", "--config", "c.json", *SEASON],
-                                   {"c.json": '{"planted_rules": [{}]}'},
-                                   1, "c.json: key 'planted_rules'"),
-    "config-date-not-iso": (["generate", "--seed", "0", "--config", "c.json", *SEASON],
-                            {"c.json": '{"start_date": "nope"}'},
-                            1, "c.json: key 'start_date'"),
-    "config-stats-not-an-object": (["generate", "--seed", "0", "--config", "c.json", *SEASON],
-                                   {"c.json": '{"feature_stats": 5}'},
-                                   1, "c.json: key 'feature_stats'"),
     "config-count-not-a-number": (["generate", "--seed", "0", "--config", "c.json", *SEASON],
                                   {"c.json": '{"n_players": "x"}'},
                                   1, "c.json: key 'n_players'"),
     "config-count-not-an-integer": (["generate", "--seed", "0", "--config", "c.json", *SEASON],
                                     {"c.json": '{"weeks": 2.5}'}, 1, "c.json: key 'weeks'"),
-    "config-rule-unknown-feature": (
-        ["generate", "--seed", "0", "--config", "c.json", *SEASON],
-        {"c.json": '{"planted_rules": [{"name": "r", "probability": 0.5, '
-                   '"conditions": [{"feature": "d_tot", "lo": 1}]}]}'},
-        1, "may only read"),
-    "config-stats-missing-a-workload": (
-        ["generate", "--seed", "0", "--config", "c.json", *SEASON],
-        {"c.json": '{"feature_stats": {"d_tot": [1, 1]}}'}, 1, "c.json: key 'feature_stats'"),
-    "config-spread-negative": (["generate", "--seed", "0", "--config", "c.json", *SEASON],
-                               {"c.json": '{"player_spread": -1}'},
-                               1, "c.json: key 'player_spread'"),
+    "config-count-a-bool": (["generate", "--seed", "0", "--config", "c.json", *SEASON],
+                            {"c.json": '{"n_players": true}'}, 1, "c.json: key 'n_players'"),
+    "config-weeks-past-date-max": (["generate", "--seed", "0", "--config", "c.json", *SEASON],
+                                   {"c.json": '{"weeks": 416688}'}, 1,
+                                   "c.json: weeks must be in [1, "),
     "model-without-feature-names": (["rules", "--model", "m.json"],
                                     {"m.json": '{"hyperparams": {}, "nodes": {}}'},
                                     1, "feature_names"),
@@ -171,6 +156,10 @@ BAD_INPUTS = {
     "table-label-2-rules": (["rules", "--model", "m.json", "--table", "t.csv"],
                             {"m.json": model_json(), "t.csv": "x,label\n1.0,2\n"},
                             1, "t.csv:2 column 'label'"),
+    "table-synthetic-flag-7": (["train", "--table", "t.csv", "--seed", "0", "--out", "m.json"],
+                               {"t.csv": "player_id,date,synthetic,x,label\n"
+                                         "P1,2014-01-06,0,1.0,0\nP1,2014-01-07,7,1.0,1\n"},
+                               1, "t.csv:3 column 'synthetic'"),
     "table-label-negative-train": (["train", "--table", "t.csv", "--seed", "0",
                                     "--out", "m.json"], {"t.csv": "x,label\n1.0,-1\n"},
                                    1, "t.csv:2 column 'label'"),
@@ -219,6 +208,21 @@ def test_bad_value_is_one_line_error(tmp_path, capsys, case):
     assert "error: " in err and fragment in err
 
 
+@pytest.mark.parametrize("key", ["sessions_per_week", "feature_stats", "planted_rules",
+                                 "base_injury_rate", "player_spread", "return_ramp_sessions",
+                                 "return_ramp_factor", "start_date"])
+def test_config_sets_only_size(tmp_path, capsys, key):
+    """The generator's other settings are constants of injurycast.generator: a
+    config naming one is refused before any season is generated."""
+    argv = in_dir(tmp_path, ["generate", "--seed", "0", "--config", "c.json", *SEASON],
+                  {"c.json": json.dumps({"weeks": 3, key: 1})})
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert f"cannot set [{key!r}]; settable keys are ['n_players', 'weeks']" in err
+    assert (tmp_path / "sessions.csv").read_text() == GOOD_FILES["sessions.csv"]
+
+
 def test_a_season_at_date_min_featurizes(tmp_path, capsys):
     """Windows are searched by date ordinal, so a 27-day window ending on
     0001-01-02 reaches back past 0001-01-01 without leaving the calendar."""
@@ -251,7 +255,7 @@ def test_directory_path_is_one_line_error(tmp_path, capsys, argv):
     (["train", "--table", "t.csv", "--seed", "0", "--out", "m.json"], "t.csv",
      "x\xe9,label\n1.0,0\n"),
     (["generate", "--seed", "0", "--config", "c.json", *SEASON], "c.json",
-     '{"n_players": 3, "weeks": 3, "start_date": "2014-01-01\xe9"}'),
+     '{"n_players": 3, "weeks": 3, "n\xe9": 1}'),
 ], ids=["csv", "model", "table", "config"])
 def test_file_that_is_not_utf8_is_one_line_error(tmp_path, capsys, argv, name, data):
     argv = in_dir(tmp_path, argv)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from injurycast import generator
 from injurycast.data_model import WORKLOAD_FEATURES, assign_labels
 from injurycast.errors import EmptySeries, MissingWindow
 from injurycast.features import (
@@ -306,10 +307,11 @@ class TestMatchesReference:
         assert table.dates == [ls.session.date for ls in order]
         np.testing.assert_array_equal(table.y, [ls.label for ls in order])
 
-    def test_daily_season(self):
+    def test_daily_season(self, monkeypatch):
         # a session every day, so chronic windows hold up to 27 sessions: every
         # window length from 1 to 27 is one block
-        log, _ = generate(GeneratorConfig(seed=3, n_players=4, weeks=12, sessions_per_week=7))
+        monkeypatch.setattr(generator, "SESSIONS_PER_WEEK", 7.0)
+        log, _ = generate(GeneratorConfig(seed=3, n_players=4, weeks=12))
         labeling = assign_labels(log)
         table, _ = build_training_table(labeling, log.players)
         assert_bit_equal(table.X, reference_build_X(labeling, log.players))

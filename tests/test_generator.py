@@ -1,9 +1,11 @@
+import dataclasses
 import datetime as dt
 import json
 
 import numpy as np
 import pytest
 
+from injurycast import generator
 from injurycast.data_model import assign_labels
 from injurycast.errors import ConfigInvalid
 from injurycast.features import (
@@ -17,10 +19,12 @@ from injurycast.features import (
 )
 from injurycast.generator import (
     DEFAULT_FEATURE_STATS,
+    MAX_WEEKS,
+    PLANTED_RULES,
+    START_DATE,
     GeneratorConfig,
     PlantedRule,
     _tenths,
-    default_planted_rules,
     generate,
     planted_feature_names,
 )
@@ -32,20 +36,25 @@ class TestConfig:
         assert cfg.n_players == 26 and cfg.weeks == 23
 
     def test_validation(self):
+        """weeks is bounded so that the last week's last session, a day to its
+        injury's onset and the longest absence, 15 days, end on or before date.max;
+        one week more would not, and the constructor refuses it before generate's
+        date arithmetic overflows."""
         with pytest.raises(ConfigInvalid):
             GeneratorConfig(n_players=0)
-        with pytest.raises(ConfigInvalid):
-            GeneratorConfig(sessions_per_week=0.0)
-        with pytest.raises(ConfigInvalid):
-            GeneratorConfig(base_injury_rate=1.5)
-        with pytest.raises(ConfigInvalid):
-            GeneratorConfig(feature_stats={"d_tot": (-1.0, 2.0)})
-        with pytest.raises(ConfigInvalid):
-            GeneratorConfig(planted_rules=(
-                PlantedRule("bad", (("d_tot_mswr", 1.0, None),), 2.0),))
+        assert GeneratorConfig(weeks=MAX_WEEKS).weeks == MAX_WEEKS
+        last = START_DATE + dt.timedelta(days=7 * (MAX_WEEKS - 1) + 6 + 1 + 15)
+        assert (dt.date.max - last).days < 7
+        for weeks in (0, MAX_WEEKS + 1, 10 ** 30):
+            with pytest.raises(ConfigInvalid, match="weeks must be in"):
+                GeneratorConfig(weeks=weeks)
+
+    def test_fields_are_size_and_seed(self):
+        assert [f.name for f in dataclasses.fields(GeneratorConfig)] == [
+            "n_players", "weeks", "seed"]
 
     def test_planted_feature_names(self):
-        names = planted_feature_names(GeneratorConfig())
+        names = planted_feature_names()
         assert names == ["d_tot_mswr", "d_hsr_ewma", "pi_ewma"]
 
 
@@ -67,7 +76,7 @@ class TestGenerate:
     def test_shape(self, season):
         log, _ = season
         assert len(log.players) == 26
-        start = GeneratorConfig().start_date
+        start = START_DATE
         for seq in log.sessions.values():
             assert seq, "every player trains"
             assert all(start <= s.date < start + dt.timedelta(weeks=23)
@@ -96,7 +105,7 @@ class TestGenerate:
         """Recompute the causal features from the raw log, compare them with the
         ledger's running values and re-check each rule."""
         log, ledger = season
-        rules = {r.name: r for r in default_planted_rules()}
+        rules = {r.name: r for r in PLANTED_RULES}
         checked = 0
         for cause in ledger.causes:
             pid = cause["player_id"]
@@ -141,10 +150,10 @@ class TestGenerate:
                 assert s.workload["acc3"] <= s.workload["acc2"]
                 assert s.workload["dec3"] <= s.workload["dec2"]
 
-    def test_zero_rules_zero_base_rate_means_no_injuries(self):
-        cfg = GeneratorConfig(n_players=6, weeks=6, planted_rules=(),
-                              base_injury_rate=0.0, seed=1)
-        log, ledger = generate(cfg)
+    def test_zero_rules_zero_base_rate_means_no_injuries(self, monkeypatch):
+        monkeypatch.setattr(generator, "PLANTED_RULES", ())
+        monkeypatch.setattr(generator, "BASE_INJURY_RATE", 0.0)
+        log, ledger = generate(GeneratorConfig(n_players=6, weeks=6, seed=1))
         assert log.injuries == [] and ledger.n_injuries == 0
 
     def test_injured_sessions_pause_training(self, season):
