@@ -110,6 +110,20 @@ BAD_INPUTS = {
                                   1, "c.json: key 'n_players'"),
     "config-count-not-an-integer": (["generate", "--seed", "0", "--config", "c.json", *SEASON],
                                     {"c.json": '{"weeks": 2.5}'}, 1, "c.json: key 'weeks'"),
+    "config-rule-without-fields": (["generate", "--seed", "0", "--config", "c.json", *SEASON],
+                                   {"c.json": '{"planted_rules": [{}]}'},
+                                   1, "cannot set ['planted_rules']"),
+    "config-stats-not-an-object": (["generate", "--seed", "0", "--config", "c.json", *SEASON],
+                                   {"c.json": '{"feature_stats": 5}'},
+                                   1, "cannot set ['feature_stats']"),
+    "config-rule-unknown-feature": (
+        ["generate", "--seed", "0", "--config", "c.json", *SEASON],
+        {"c.json": '{"planted_rules": [{"name": "r", "probability": 0.5, '
+                   '"conditions": [{"feature": "d_tot", "lo": 1}]}]}'},
+        1, "cannot set ['planted_rules']"),
+    "config-stats-missing-a-workload": (
+        ["generate", "--seed", "0", "--config", "c.json", *SEASON],
+        {"c.json": '{"feature_stats": {"d_tot": [1, 1]}}'}, 1, "cannot set ['feature_stats']"),
     "config-count-a-bool": (["generate", "--seed", "0", "--config", "c.json", *SEASON],
                             {"c.json": '{"n_players": true}'}, 1, "c.json: key 'n_players'"),
     "config-weeks-past-date-max": (["generate", "--seed", "0", "--config", "c.json", *SEASON],
