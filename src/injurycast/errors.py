@@ -39,6 +39,10 @@ class TooFewMinority(InjurycastError):
     pass
 
 
+class FeatureOverflow(InjurycastError):
+    """Feature values so near the float limit that arithmetic on them overflows."""
+
+
 class EmptyNode(InjurycastError):
     pass
 

@@ -450,3 +450,21 @@ class TestBadTable:
         assert run(*argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "synthetic" in err
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_features_near_the_float_limit_are_one_line_error(self, tmp_path, capsys,
+                                                              table_path, command):
+        # finite cells, so the table loads; ADASYN's standardizing overflows
+        table = TrainingTable.from_csv(table_path)
+        signs = np.where(np.arange(len(table)) % 2, -1.0, 1.0)
+        table.X[:, table.feature_names.index("d_tot")] = (
+            signs * np.linspace(0.75, 1.5, len(table)) * 1e308)
+        path = str(tmp_path / "big.csv")
+        table.to_csv(path, include_meta=True)
+        argv = [command, "--table", path, "--seed", "1"]
+        if command == "train":
+            argv += ["--out", str(tmp_path / "m.json")]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and "column 'd_tot' overflows" in err

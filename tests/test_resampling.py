@@ -4,11 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
+from injurycast import resampling
 from injurycast.data_model import assign_labels
-from injurycast.errors import TooFewMinority
+from injurycast.errors import FeatureOverflow, TooFewMinority
 from injurycast.features import build_training_table
 from injurycast.generator import GeneratorConfig, generate
-from injurycast.resampling import ResamplingConfig, _nearest, adasyn, standardize
+from injurycast.resampling import ResamplingConfig, _neighbours, adasyn, standardize
 
 from conftest import rand_table
 
@@ -67,6 +68,18 @@ def tensor_adasyn(table, seed):
     return np.vstack([table.X, np.array(new_rows)]), bool(np.all(dists_min == 0))
 
 
+def nearest_row(Z, i, k):
+    """The k rows of Z nearest to row i, ties in row order, row i excluded: the
+    row-at-a-time search the block search replaced, kept as its reference.
+
+    Its distances are np.linalg.norm(Z - Z[i], axis=1) to the bit, and only the
+    rows at or below the k-th distance are sorted (stably)."""
+    dist = np.sqrt(np.add.reduce(np.square(Z - Z[i]), axis=1))
+    dist[i] = np.inf
+    near = np.flatnonzero(dist <= np.partition(dist, k - 1)[k - 1])
+    return near[np.argsort(dist[near], kind="stable")][:k]
+
+
 def tied_table(seed):
     """Small-integer features: many equal distances and repeated rows."""
     rng = np.random.default_rng(seed)
@@ -97,6 +110,15 @@ def identical_minority_table(seed):
     return t
 
 
+def scaled_table(seed):
+    """One column at 1e-300, whose squared deviations underflow to a zero
+    variance, and one at 1e300, whose squared deviations overflow."""
+    t = rand_table(n=80, p=4, n_pos=12, seed=seed)
+    t.X[:, 0] *= 1e-300
+    t.X[:, 1] *= 1e300
+    return t
+
+
 def season_table(seed):
     log, _ = generate(GeneratorConfig(n_players=10, weeks=10, seed=seed))
     table, _ = build_training_table(assign_labels(log), log.players)
@@ -121,11 +143,11 @@ class TestRowAtATimeDistances:
     def test_nearest_is_the_head_of_a_full_stable_sort(self, build):
         X = build(3).X
         Z = standardize(X, X)
-        buf = np.empty_like(Z)
         for k in (1, 5, len(Z) - 1):
+            found = _neighbours(Z, np.arange(len(Z)), k)
             for i in range(len(Z)):
                 order = np.argsort(np.linalg.norm(Z - Z[i], axis=1), kind="stable")
-                np.testing.assert_array_equal(_nearest(Z, i, k, buf), order[order != i][:k])
+                np.testing.assert_array_equal(found[i], order[order != i][:k])
 
     @pytest.mark.parametrize("seed", [7, 11])
     def test_byte_equal_on_a_default_season(self, seed):
@@ -146,6 +168,42 @@ class TestRowAtATimeDistances:
         finally:
             tracemalloc.stop()
         assert peak < 8 * table.X.nbytes
+
+
+def short_table(seed):
+    """k + 1 rows: every other row is a neighbour."""
+    return rand_table(n=resampling.K_NEIGHBORS + 1, p=3, n_pos=2, seed=seed)
+
+
+class TestBlockSearch:
+    """The block search against the row-at-a-time reference, for both of ADASYN's
+    searches: the minority's neighbours in the table and in the minority."""
+
+    @pytest.fixture(params=[None, 1, 3], ids=["package", "1-row", "3-row"])
+    def block_rows(self, request, monkeypatch):
+        """Query blocks of `param` rows (None: the package's), so blocks split
+        the minority; patched per table, as the block depends on n."""
+        def set_for(n):
+            if request.param is not None:
+                monkeypatch.setattr(resampling, "_BLOCK", request.param * n)
+        return set_for
+
+    @pytest.mark.parametrize("build", [tied_table, duplicated_table, role_table,
+                                       identical_minority_table, scaled_table, short_table])
+    @pytest.mark.parametrize("scale", [1.0, 1e-160, 1e-300])
+    def test_equals_the_row_at_a_time_search(self, build, scale, block_rows):
+        """Standardized rows as they are, and scaled so that their products fall
+        into the subnormal range or underflow to zero; a minority of 2 as well."""
+        t = build(2)
+        minority = np.flatnonzero(t.y == 1)
+        with np.errstate(over="ignore"):  # scaled_table's spread overflows
+            Z = standardize(t.X, t.X) * scale
+        for Zq, rows in ((Z, minority), (Z[minority], np.arange(len(minority))),
+                         (Z[minority[:2]], np.arange(2))):
+            block_rows(len(Zq))
+            for k in sorted({1, min(resampling.K_NEIGHBORS, len(Zq) - 1), len(Zq) - 1}):
+                want = [nearest_row(Zq, i, k) for i in rows]
+                np.testing.assert_array_equal(_neighbours(Zq, rows, k), want)
 
 
 class TestAdasyn:
@@ -231,6 +289,18 @@ class TestAdasyn:
         t = rand_table(n=40, p=3, n_pos=20, seed=0)
         out = adasyn(t, ResamplingConfig(seed=0))
         assert out is t
+
+    @pytest.mark.parametrize("where, sign", [("standardizing", 1), ("interpolating", -1)])
+    def test_overflow_is_a_package_error(self, where, sign):
+        # f1 is 0 but in the two minority rows. At +1.5e308 twice its mean
+        # overflows. At +1.5e308 and -1.5e308 its mean is 0 and its spread
+        # overflows to inf, so it standardizes to 0, and only the segment
+        # between the two rows overflows.
+        t = rand_table(n=30, p=3, n_pos=2, seed=0)
+        t.X[:, 1] = 0.0
+        t.X[np.flatnonzero(t.y == 1), 1] = [1.5e308, sign * 1.5e308]
+        with pytest.raises(FeatureOverflow, match=f"ADASYN {where} column 'f1' overflows"):
+            adasyn(t, ResamplingConfig(seed=0))
 
     def test_identical_minority_warns(self):
         t = rand_table(n=30, p=2, n_pos=4, seed=3)

@@ -341,6 +341,47 @@ class TestMatchesReferenceFitter:
         np.testing.assert_array_equal(pred, y)
 
 
+@pytest.fixture(scope="module", params=[(26, 7), (26, 11), (104, 7)],
+                ids=["26x23-7", "26x23-11", "104x23-7"])
+def season_and_seed(request):
+    n_players, seed = request.param
+    log, _ = generate(GeneratorConfig(n_players=n_players, weeks=23, seed=seed))
+    table, _ = build_training_table(assign_labels(log), log.players)
+    return table, seed
+
+
+class TestRowOrder:
+    """A tree does not depend on the order of its rows: ties never sit at a valid
+    split, so neither a split, a count nor a threshold can see which of two tied
+    rows comes first."""
+
+    @pytest.mark.parametrize("hp", [TreeHyperParams(max_depth=5),
+                                    TreeHyperParams(min_samples_leaf=2)],
+                             ids=["depth-5", "unbounded-leaf-2"])
+    @pytest.mark.parametrize("max_features", [None, 7])
+    def test_shuffled_season_fits_the_same_tree(self, season_and_seed, hp, max_features):
+        table, seed = season_and_seed
+        shuffled = table.take(np.random.default_rng(seed).permutation(len(table)))
+        assert (fit_tree(shuffled, hp=hp, seed=seed, max_features=max_features).to_json()
+                == fit_tree(table, hp=hp, seed=seed, max_features=max_features).to_json())
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_shuffled_tie_heavy_table_fits_the_same_tree(self, data):
+        n = data.draw(st.integers(2, 40))
+        p = data.draw(st.integers(1, 4))
+        # values 0..2: long runs of equal values, repeated rows, many equal gains
+        X = data.draw(hnp.arrays(np.int64, (n, p), elements=st.integers(0, 2))).astype(float)
+        y = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
+        perm = np.array(data.draw(st.permutations(range(n))))
+        hp = TreeHyperParams(max_depth=data.draw(st.sampled_from([None, 1, 3])),
+                             min_samples_leaf=data.draw(st.integers(1, 3)))
+        max_features = data.draw(st.sampled_from([None, 1, 2]))
+        names = [f"f{i}" for i in range(p)]
+        assert (fit_tree(X[perm], y[perm], names, hp=hp, max_features=max_features).to_json()
+                == fit_tree(X, y, names, hp=hp, max_features=max_features).to_json())
+
+
 def reference_predict(model, X):
     """predict by walking each row down from the root, one node at a time."""
     classes, scores = [], []
