@@ -8,7 +8,6 @@ are oversampled.
 """
 from injurycast import (
     GeneratorConfig,
-    PipelineConfig,
     assign_labels,
     build_training_table,
     compare_forecasters,
@@ -20,7 +19,7 @@ from injurycast.pipeline import render_comparison
 log, _ = generate(GeneratorConfig(seed=1))
 table, _ = build_training_table(assign_labels(log), log.players)
 
-report = run_pipeline(table, PipelineConfig(seed=1))
+report = run_pipeline(table, seed=1)
 print("selected features:", ", ".join(report.selected_features))
 print("tuned hyperparameters:", report.hyperparams)
 inj = report.per_class["injury"]
@@ -31,5 +30,5 @@ print()
 # The same split/fold protocol applied to every forecaster at once.
 # B1 guesses with the class distribution, B2 never alarms, B3 always alarms,
 # B4 alarms on any prior injury; C_* combine twelve single-feature ACWR rules.
-reports = compare_forecasters(table, PipelineConfig(seed=1), n_forest_trees=30)
+reports = compare_forecasters(table, seed=1, n_forest_trees=30)
 print(render_comparison(reports))

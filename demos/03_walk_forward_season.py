@@ -5,7 +5,6 @@ known so far and forecast the next week, exactly as a club would use it.
 """
 from injurycast import (
     GeneratorConfig,
-    PipelineConfig,
     feature_trace,
     generate,
     savings,
@@ -13,7 +12,7 @@ from injurycast import (
 )
 
 log, _ = generate(GeneratorConfig(n_players=18, weeks=18, seed=2))
-outcomes = walk_forward(log, PipelineConfig(seed=2), start_week=6)
+outcomes = walk_forward(log, seed=2, start_week=6)
 
 print("week  degenerate  detected  missed  cumF1  features")
 for o in outcomes:

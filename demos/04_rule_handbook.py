@@ -5,7 +5,6 @@ check the rules back against the ground truth the generator planted.
 """
 from injurycast import (
     GeneratorConfig,
-    PipelineConfig,
     ResamplingConfig,
     adasyn,
     assign_labels,
@@ -25,7 +24,7 @@ table, _ = build_training_table(assign_labels(log), log.players)
 
 # Full pipeline for feature selection, then a deployable tree fit on the
 # whole oversampled table restricted to the selected features.
-report = run_pipeline(table, PipelineConfig(seed=4))
+report = run_pipeline(table, seed=4)
 balanced = adasyn(table, ResamplingConfig(seed=4))
 selected = balanced.select_features(report.selected_features)
 hp = tune(selected, seed=4)

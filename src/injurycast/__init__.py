@@ -25,7 +25,7 @@ from .features import (
 from .generator import GeneratorConfig, PlantedRule, generate
 from .learners import FeatureSubset, fit_forest, fit_logit, rfecv, tune
 from .metrics import ConfusionMatrix, EvalReport, auc, metrics, stratified_split
-from .pipeline import PipelineConfig, compare_forecasters, run_pipeline
+from .pipeline import compare_forecasters, fit_forecaster, run_pipeline
 from .resampling import ResamplingConfig, adasyn
 from .rules import InjuryRule, extract_rules, render_handbook, rule_stats
 from .simulate import CostReport, cost, feature_trace, savings, walk_forward

@@ -13,11 +13,10 @@ from .data_model import assign_labels, open_utf8, parse_season, write_season_csv
 from .errors import ConfigInvalid, InjurycastError
 from .features import TrainingTable, build_training_table
 from .generator import GeneratorConfig, generate
-from .pipeline import (PipelineConfig, _select_and_tune, compare_forecasters,
-                       render_comparison, run_pipeline)
+from .pipeline import compare_forecasters, fit_forecaster, render_comparison, run_pipeline
 from .rules import extract_rules, render_handbook, rule_stats
 from .simulate import feature_trace, savings, walk_forward
-from .tree import DecisionTreeModel, fit_tree
+from .tree import DecisionTreeModel
 
 
 def _write(path, text):
@@ -79,13 +78,10 @@ def _cmd_featurize(args):
 
 def _cmd_train(args):
     table = TrainingTable.from_csv(args.table)
-    cfg = PipelineConfig(seed=args.seed)
-    report = run_pipeline(table, cfg)
+    report = run_pipeline(table, args.seed)
     # deployable model: the pipeline's selected features, tuned again and
     # refit on the whole oversampled table
-    balanced, names, hp = _select_and_tune(table, args.seed,
-                                           names=report.selected_features)
-    model = fit_tree(balanced.select_features(names), hp=hp, seed=args.seed)
+    model = fit_forecaster(table, args.seed, names=report.selected_features)
     _write(args.out, model.to_json() + "\n")
     _write(args.report, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     return 0
@@ -93,15 +89,14 @@ def _cmd_train(args):
 
 def _cmd_compare(args):
     table = TrainingTable.from_csv(args.table)
-    reports = compare_forecasters(table, PipelineConfig(seed=args.seed))
+    reports = compare_forecasters(table, args.seed)
     _write(args.out, render_comparison(reports, fmt=args.format))
     return 0
 
 
 def _cmd_simulate(args):
     log = _load_log(args)
-    outcomes = walk_forward(log, PipelineConfig(seed=args.seed),
-                            start_week=args.start_week)
+    outcomes = walk_forward(log, args.seed, start_week=args.start_week)
     lines = ["week,degenerate,detected,missed,cumulative_f1,selected_features"]
     for o in outcomes:
         lines.append(f"{o.week},{int(o.degenerate)},{o.detected},{o.missed},"

@@ -100,13 +100,16 @@ class TrainingTable:
 
     @classmethod
     def from_csv(cls, path) -> "TrainingTable":
-        """Read a table written by to_csv; a last column not named label, a short
-        row, a cell that is not a finite number, or a synthetic flag or label other
-        than 0 and 1 raises MalformedRow with its line and column."""
+        """Read a table written by to_csv; a repeated column name, a last column not
+        named label, a short row, a cell that is not a finite number, or a synthetic
+        flag or label other than 0 and 1 raises MalformedRow with its line and column."""
         names, off = [], 0
 
         def columns(header):
             nonlocal off
+            for i, name in enumerate(header):
+                if name in header[:i]:
+                    raise ValueError(name, "the column name is repeated")
             if header[-1] != "label":
                 raise ValueError(header[-1], "the last column must be 'label'")
             off = 3 if header[:3] == ["player_id", "date", "synthetic"] else 0

@@ -49,8 +49,6 @@ class LinearModel:
     weights: np.ndarray
     bias: float
     feature_names: list
-    iterations: int = 0
-    grad_norm: float = 0.0
 
     def predict(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -88,10 +86,10 @@ def fit_logit(table, l2: float = 1e-3, max_iter: int = 5000, tol: float = 1e-6,
     b = 0.0
     step = 1.0
     loss, gw, gb = logit_loss_grad(w, b, X, y, l2)
-    for it in range(1, max_iter + 1):
+    for _ in range(max_iter):
         gnorm = float(np.sqrt(np.dot(gw, gw) + gb * gb))
         if gnorm < tol:
-            return LinearModel(w, b, list(table.feature_names), it - 1, gnorm)
+            return LinearModel(w, b, list(table.feature_names))
         while step > 1e-12:
             w_new = w - step * gw
             b_new = b - step * gb
@@ -104,7 +102,7 @@ def fit_logit(table, l2: float = 1e-3, max_iter: int = 5000, tol: float = 1e-6,
     gnorm = float(np.sqrt(np.dot(gw, gw) + gb * gb))
     if gnorm >= tol:
         raise NonConvergence(max_iter, gnorm)
-    return LinearModel(w, b, list(table.feature_names), max_iter, gnorm)
+    return LinearModel(w, b, list(table.feature_names))
 
 
 def _cv_folds(table, folds, seed, data=None):

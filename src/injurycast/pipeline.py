@@ -1,7 +1,7 @@
 """End-to-end evaluation pipeline: split, oversample, select, tune, cross-validate."""
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,11 +26,6 @@ TRAIN_FRACTION = 0.3
 EVAL_FOLDS = 2
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    seed: int = 0
-
-
 def _oversampled(table, seed: int):
     if table.y.sum() < 2:
         return table
@@ -39,96 +34,95 @@ def _oversampled(table, seed: int):
 
 def _select_and_tune(table, seed: int, names=None):
     """Oversample the table, select features by RFECV unless `names` is given, and
-    tune the tree on the selection. Returns (oversampled table, names, hyperparams)."""
+    tune the tree on the selection. Returns (the oversampled table's selected
+    columns, hyperparams)."""
     balanced = _oversampled(table, seed)
     if names is None:
         names = rfecv(balanced, seed=seed).names
-    hp = tune(balanced.select_features(names), seed=seed)
-    return balanced, names, hp
+    selected = balanced.select_features(names)
+    return selected, tune(selected, seed=seed)
 
 
-def _evaluate(table, cfg: PipelineConfig, forecast):
-    """Steps 1-3 of run_pipeline for every forecaster that `forecast` yields on a
-    fold as (name, predictions, scores). Returns the split sizes, names,
-    hyperparameters and, per forecaster, (confusion, scores, labels) over all folds."""
-    a_idx, b_idx = stratified_split(table.y, TRAIN_FRACTION, cfg.seed)
-    t_train = table.take(a_idx)
-    t_test = table.take(b_idx)
-    _, names, hp = _select_and_tune(t_train, cfg.seed)
-
-    runs = {}
-    for f, (fit_idx, eval_idx) in enumerate(
-            stratified_kfold(t_test.y, EVAL_FOLDS, cfg.seed + 1)):
-        fold_eval = t_test.take(eval_idx)
-        if fold_eval.synthetic.any():
-            raise SyntheticEvaluation(f"evaluation fold {f} holds synthetic rows; "
-                                      "a table to evaluate must be observed sessions only")
-        fold_train = _oversampled(t_test.take(fit_idx), cfg.seed + 100 + f)
-        for name, pred, score in forecast(cfg, f, fold_train, fold_eval, names, hp):
-            runs.setdefault(name, []).append((pred, score, fold_eval.y))
-    pooled = {}
-    for name, folds in runs.items():
-        pred, score, label = (np.concatenate(part) for part in zip(*folds))
-        pooled[name] = (ConfusionMatrix.from_predictions(label, pred), score, label)
-    return {"train": len(t_train), "test": len(t_test)}, names, hp, pooled
+def fit_forecaster(table, seed: int, names=None):
+    """The deployable tree: fitted on _select_and_tune's selection with its
+    hyperparameters; its feature_names are the selected columns."""
+    selected, hp = _select_and_tune(table, seed, names)
+    return fit_tree(selected, hp=hp, seed=seed)
 
 
-def _tree_forecast(cfg, f, train, test, names, hp):
-    model = fit_tree(train.select_features(names), hp=hp, seed=cfg.seed)
-    yield "DT", *model.predict(test.select_features(names).X)
-
-
-def run_pipeline(table, cfg: PipelineConfig = PipelineConfig()) -> EvalReport:
-    """Execute the three-step procedure with the decision tree; pool metrics over the test folds.
+def _evaluate(table, seed: int, forecast) -> dict:
+    """The three-step procedure for every forecaster that `forecast(seed, fold,
+    train columns, eval columns, eval fold, hyperparams)` yields on a fold as
+    (name, predictions, scores); returns name -> EvalReport pooled over the folds.
 
     Step 1 splits the table into a 30% tuning part and a 70% test part,
     stratified. Step 2 oversamples the tuning part, selects features and fits
     hyperparameters. Step 3 runs a stratified CV on the test part where each
     training fold is oversampled and the evaluation fold never is.
     """
-    split_sizes, names, hp, runs = _evaluate(table, cfg, _tree_forecast)
-    cm, scores, labels = runs["DT"]
-    return EvalReport(per_class=metrics(cm), auc=auc(scores, labels), confusion=cm,
-                      seed=cfg.seed, split_sizes=split_sizes,
-                      selected_features=list(names), hyperparams=hp.to_dict())
+    # the split leaves c - round(0.3 c) >= 1 rows of each class of c >= 2 in the
+    # test part, so with both labels present every pooled AUC sees both
+    if len(table) and table.y.min() == table.y.max():
+        raise OneClassOnly(f"every row of the table has label {table.y[0]}; "
+                           "the protocol needs injury and no-injury rows")
+    a_idx, b_idx = stratified_split(table.y, TRAIN_FRACTION, seed)
+    t_test = table.take(b_idx)
+    x_tune, hp = _select_and_tune(table.take(a_idx), seed)
+    names = x_tune.feature_names
+
+    runs = {}
+    for f, (fit_idx, eval_idx) in enumerate(stratified_kfold(t_test.y, EVAL_FOLDS, seed + 1)):
+        fold_eval = t_test.take(eval_idx)
+        if fold_eval.synthetic.any():
+            raise SyntheticEvaluation(f"evaluation fold {f} holds synthetic rows; "
+                                      "a table to evaluate must be observed sessions only")
+        x_train = _oversampled(t_test.take(fit_idx), seed + 100 + f).select_features(names)
+        x_eval = fold_eval.select_features(names)
+        for name, pred, score in forecast(seed, f, x_train, x_eval, fold_eval, hp):
+            runs.setdefault(name, []).append((pred, score, fold_eval.y))
+    reports = {}
+    for name, folds in runs.items():
+        pred, score, label = (np.concatenate(part) for part in zip(*folds))
+        cm = ConfusionMatrix.from_predictions(label, pred)
+        reports[name] = EvalReport(
+            per_class=metrics(cm), auc=auc(score, label), confusion=cm, seed=seed,
+            split_sizes={"train": len(a_idx), "test": len(b_idx)},
+            selected_features=list(names), hyperparams=hp.to_dict())
+    return reports
 
 
-def compare_forecasters(table, cfg: PipelineConfig = PipelineConfig(),
-                        n_forest_trees: int = 50) -> dict:
+def _tree_forecast(seed, f, x_train, x_eval, fold_eval, hp):
+    yield "DT", *fit_tree(x_train, hp=hp, seed=seed).predict(x_eval.X)
+
+
+def run_pipeline(table, seed: int = 0) -> EvalReport:
+    """The protocol (see _evaluate) with the decision tree."""
+    return _evaluate(table, seed, _tree_forecast)["DT"]
+
+
+def compare_forecasters(table, seed: int = 0, n_forest_trees: int = 50) -> dict:
     """Evaluate DT, RF, LR, the four baselines and the combined ACWR forecasters
     under the same split/fold protocol; returns forecaster name -> EvalReport."""
-    def forecast(cfg, f, train, test, names, hp):
-        yield from _tree_forecast(cfg, f, train, test, names, hp)
-        x_train, x_test = train.select_features(names), test.select_features(names)
-        forest = fit_forest(x_train, n_forest_trees, hp=hp, seed=cfg.seed)
-        yield "RF", *forest.predict(x_test.X)
+    def forecast(seed, f, x_train, x_eval, fold_eval, hp):
+        yield from _tree_forecast(seed, f, x_train, x_eval, fold_eval, hp)
+        forest = fit_forest(x_train, n_forest_trees, hp=hp, seed=seed)
+        yield "RF", *forest.predict(x_eval.X)
         try:
             logit = fit_logit(replace(x_train, X=standardize(x_train.X, x_train.X)),
-                              seed=cfg.seed, tol=1e-4)
+                              seed=seed, tol=1e-4)
         except NonConvergence:
-            yield "LR", np.zeros(len(test), dtype=int), np.full(len(test), 0.5)
+            yield "LR", np.zeros(len(fold_eval), dtype=int), np.full(len(fold_eval), 0.5)
         else:
-            yield "LR", *logit.predict(standardize(x_test.X, x_train.X))
+            yield "LR", *logit.predict(standardize(x_eval.X, x_train.X))
         for kind in ("B1", "B2", "B3", "B4"):
-            pred = baseline_predict(kind, test, seed=cfg.seed + f)
+            pred = baseline_predict(kind, fold_eval, seed=seed + f)
             yield kind, pred, pred.astype(float)
         for combine, name in ((Combine.VOTE, "C_vote"), (Combine.ALL, "C_all"),
                               (Combine.ONE, "C_one")):
-            pred = mono_forecast(test, combine)
+            pred = mono_forecast(fold_eval, combine)
             yield name, pred, pred.astype(float)
 
-    _, names, hp, runs = _evaluate(table, cfg, forecast)
-    reports = {}
-    for name, (cm, scores, labels) in runs.items():
-        try:
-            auc_val = auc(scores, labels)
-        except OneClassOnly:
-            auc_val = float("nan")
-        reports[name] = EvalReport(per_class=metrics(cm), auc=auc_val,
-                                   confusion=cm, seed=cfg.seed,
-                                   selected_features=list(names),
-                                   hyperparams=hp.to_dict())
-    return reports
+    return _evaluate(table, seed, forecast)
 
 
 def comparison_rows(reports: dict) -> list:

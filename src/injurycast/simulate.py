@@ -11,8 +11,7 @@ from .data_model import SeasonLog, assign_labels
 from .errors import InsufficientHistory
 from .features import build_training_table
 from .metrics import ConfusionMatrix, metrics
-from .pipeline import PipelineConfig, _select_and_tune
-from .tree import fit_tree
+from .pipeline import fit_forecaster
 
 
 @dataclass
@@ -88,8 +87,7 @@ def _week_tables(table, onset_by_row: dict, cutoff: dt.date):
     return train, forecast
 
 
-def walk_forward(log: SeasonLog, cfg: PipelineConfig = PipelineConfig(),
-                 start_week: int = 6) -> list:
+def walk_forward(log: SeasonLog, seed: int = 0, start_week: int = 6) -> list:
     """Weekly retraining: at week i, train on everything known by the end of
     week i (injuries not yet observed count as label 0) and predict week i+1.
 
@@ -126,9 +124,8 @@ def walk_forward(log: SeasonLog, cfg: PipelineConfig = PipelineConfig(),
             preds = np.zeros(len(t_next), dtype=int)
             names = []
         else:
-            seed = cfg.seed + week
-            balanced, names, hp = _select_and_tune(t_i, seed)
-            model = fit_tree(balanced.select_features(names), hp=hp, seed=seed)
+            model = fit_forecaster(t_i, seed + week)
+            names = model.feature_names
             preds, _ = model.predict(t_next.select_features(names).X)
 
         week_cm = ConfusionMatrix.from_predictions(t_next.y, preds)

@@ -165,7 +165,11 @@ class DecisionTreeModel:
         """Inverse of to_dict; a missing field, a value of the wrong kind or node
         arrays that are not one tree over the named features raise ConfigInvalid."""
         try:
-            model = cls(data["feature_names"], TreeHyperParams(**data["hyperparams"]))
+            names = data["feature_names"]
+            if (not isinstance(names, list) or not all(isinstance(n, str) for n in names)
+                    or len(set(names)) < len(names)):
+                raise ConfigInvalid("model feature_names: need a list of distinct strings")
+            model = cls(names, TreeHyperParams(**data["hyperparams"]))
             nodes = data["nodes"]
             model.feature = np.asarray(nodes["feature"], dtype=int)
             model.threshold = np.asarray(nodes["threshold"], dtype=float)

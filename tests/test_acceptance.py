@@ -14,7 +14,7 @@ from injurycast.features import build_training_table, pi_ewma
 from injurycast.generator import GeneratorConfig, generate, planted_feature_names
 from injurycast.learners import logit_loss_grad
 from injurycast.metrics import ConfusionMatrix, auc, metrics
-from injurycast.pipeline import PipelineConfig, run_pipeline
+from injurycast.pipeline import run_pipeline
 from injurycast.resampling import ResamplingConfig, adasyn
 from injurycast.rules import extract_rules, rule_stats
 from injurycast.simulate import cost, feature_trace, season_start, walk_forward
@@ -203,7 +203,7 @@ def test_criterion_7_planted_mechanism_recovery():
     for trial in range(n_trials):
         log, _ = generate(GeneratorConfig(seed=trial))
         table, _ = build_training_table(assign_labels(log), log.players)
-        report = run_pipeline(table, PipelineConfig(seed=trial))
+        report = run_pipeline(table, seed=trial)
         inj = report.per_class["injury"]
         if inj["recall"] >= 0.7 and inj["precision"] >= 0.4:
             perf_hits += 1
@@ -223,7 +223,7 @@ def test_criterion_7_planted_mechanism_recovery():
 def test_criterion_8_walk_forward_integrity():
     t0 = time.perf_counter()
     log, _ = generate(GeneratorConfig(seed=0))
-    outcomes = walk_forward(log, PipelineConfig(seed=0), start_week=6)
+    outcomes = walk_forward(log, seed=0, start_week=6)
     start = season_start(log)
 
     audit_ok = True

@@ -132,6 +132,12 @@ BAD_INPUTS = {
     "model-without-feature-names": (["rules", "--model", "m.json"],
                                     {"m.json": '{"hyperparams": {}, "nodes": {}}'},
                                     1, "feature_names"),
+    "model-feature-names-a-string": (["rules", "--model", "m.json"],
+                                     {"m.json": model_json().replace('["x"]', '"ab"')},
+                                     1, "feature_names: need a list of distinct strings"),
+    "model-feature-names-repeated": (["rules", "--model", "m.json"],
+                                     {"m.json": model_json().replace('["x"]', '["x", "x"]')},
+                                     1, "feature_names: need a list of distinct strings"),
     "model-no-nodes": (["rules", "--model", "m.json"],
                        {"m.json": model_json(feature=[], threshold=[], left=[], right=[],
                                              counts=[])}, 1, "shared length"),
@@ -437,6 +443,38 @@ class TestBadTable:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "empty" in err
+
+    def test_repeated_column_is_one_line_error(self, tmp_path, capsys, trained,
+                                               table_path):
+        header, rest = pathlib.Path(table_path).read_text().split("\n", 1)
+        assert ",d_hsr," in header
+        bad = tmp_path / "bad.csv"
+        bad.write_text(header.replace(",d_hsr,", ",d_tot,") + "\n" + rest)
+        for argv in (["compare", "--table", str(bad), "--seed", "0"],
+                     ["train", "--table", str(bad), "--seed", "0",
+                      "--out", str(tmp_path / "m.json")],
+                     ["rules", "--model", trained[0], "--table", str(bad)]):
+            assert run(*argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "bad.csv:1 column 'd_tot': the column name is repeated" in err
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    @pytest.mark.parametrize("label", [0, 1], ids=["all-labels-0", "injury-rows-only"])
+    def test_one_class_table_is_one_line_error(self, tmp_path, capsys, table_path,
+                                               command, label):
+        table = TrainingTable.from_csv(table_path)
+        if label:
+            table = table.take(np.flatnonzero(table.y))
+        else:
+            table.y[:] = 0
+        path = str(tmp_path / "one_class.csv")
+        table.to_csv(path, include_meta=True)
+        assert run(command, "--table", path, "--seed", "0",
+                   "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == (
+            f"error: every row of the table has label {label}; "
+            "the protocol needs injury and no-injury rows\n")
 
     @pytest.mark.parametrize("command", ["train", "compare"])
     def test_synthetic_rows_are_rejected(self, tmp_path, capsys, table_path, command):

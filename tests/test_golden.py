@@ -12,7 +12,6 @@ import pytest
 from injurycast.cli import cli_main
 from injurycast.data_model import write_season_csvs
 from injurycast.generator import GeneratorConfig, generate
-from injurycast.pipeline import PipelineConfig
 from injurycast.simulate import walk_forward
 
 SEASON = {"n_players": 10, "weeks": 10}
@@ -141,7 +140,7 @@ def test_chain_matches_golden(tmp_path, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_walk_forward_outcomes_match_golden(seed):
     log, _ = generate(GeneratorConfig(seed=seed, **SEASON))
-    outcomes = walk_forward(log, PipelineConfig(seed=seed), start_week=7)
+    outcomes = walk_forward(log, seed=seed, start_week=7)
     text = json.dumps([o.to_dict() for o in outcomes], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == WALK_FORWARD_GOLDEN[seed]
 
@@ -149,7 +148,7 @@ def test_walk_forward_outcomes_match_golden(seed):
 @pytest.mark.parametrize("seed", sorted(WIDE_WALK_FORWARD_GOLDEN))
 def test_wide_season_walk_forward_matches_golden(seed):
     log, _ = generate(GeneratorConfig(seed=seed, **WIDE_SEASON))
-    outcomes = walk_forward(log, PipelineConfig(seed=seed), start_week=6)
+    outcomes = walk_forward(log, seed=seed, start_week=6)
     text = json.dumps([o.to_dict() for o in outcomes], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == WIDE_WALK_FORWARD_GOLDEN[seed]
 

@@ -3,7 +3,6 @@ import pytest
 from injurycast.errors import SyntheticEvaluation
 from injurycast.metrics import stratified_split
 from injurycast.pipeline import (
-    PipelineConfig,
     compare_forecasters,
     comparison_rows,
     render_comparison,
@@ -16,13 +15,13 @@ from conftest import planted_table
 @pytest.fixture(scope="module")
 def report_and_table():
     table = planted_table(n=400, seed=0, noise_features=4)
-    return run_pipeline(table, PipelineConfig(seed=0)), table
+    return run_pipeline(table, seed=0), table
 
 
 class TestRunPipeline:
     def test_deterministic(self, report_and_table):
         report, table = report_and_table
-        again = run_pipeline(table, PipelineConfig(seed=0))
+        again = run_pipeline(table, seed=0)
         assert again.to_dict() == report.to_dict()
 
     def test_split_sizes_match_protocol(self, report_and_table):
@@ -47,19 +46,18 @@ class TestRunPipeline:
         table = planted_table(n=200, seed=4, noise_features=1)
         table.synthetic[::2] = True
         with pytest.raises(SyntheticEvaluation):
-            run_pipeline(table, PipelineConfig(seed=0))
+            run_pipeline(table, seed=0)
 
     def test_seed_changes_outcome_inputs(self):
         table = planted_table(n=300, seed=2, noise_features=2)
-        r1 = run_pipeline(table, PipelineConfig(seed=1))
-        r2 = run_pipeline(table, PipelineConfig(seed=2))
+        r1 = run_pipeline(table, seed=1)
+        r2 = run_pipeline(table, seed=2)
         assert r1.seed != r2.seed  # reports carry their seed for provenance
 
 
 @pytest.fixture(scope="module")
 def reports(small_table):
-    return compare_forecasters(small_table, PipelineConfig(seed=0),
-                               n_forest_trees=10)
+    return compare_forecasters(small_table, seed=0, n_forest_trees=10)
 
 
 class TestCompare:

@@ -8,7 +8,6 @@ import pytest
 from injurycast.data_model import SeasonLog, assign_labels
 from injurycast.errors import InsufficientHistory
 from injurycast.features import build_training_table
-from injurycast.pipeline import PipelineConfig
 from injurycast.simulate import (
     _week_tables,
     cost,
@@ -69,7 +68,7 @@ class TestCost:
 @pytest.fixture(scope="module")
 def outcomes_and_log(small_season):
     log, _ = small_season
-    return walk_forward(log, PipelineConfig(seed=0), start_week=6), log
+    return walk_forward(log, seed=0, start_week=6), log
 
 
 class TestWalkForward:
@@ -107,8 +106,8 @@ class TestWalkForward:
 
     def test_deterministic(self, small_season):
         log, _ = small_season
-        a = walk_forward(log, PipelineConfig(seed=0), start_week=6)
-        b = walk_forward(log, PipelineConfig(seed=0), start_week=6)
+        a = walk_forward(log, seed=0, start_week=6)
+        b = walk_forward(log, seed=0, start_week=6)
         assert [o.to_dict() for o in a] == [o.to_dict() for o in b]
 
     def test_a_far_future_session_forecasts_only_the_weeks_holding_rows(self,
@@ -119,7 +118,7 @@ class TestWalkForward:
         far = dataclasses.replace(log.sessions[pid][-1], date=dt.date.max)
         moved = SeasonLog(players=log.players, injuries=log.injuries,
                           sessions={**log.sessions, pid: log.sessions[pid][:-1] + [far]})
-        outcomes = walk_forward(moved, PipelineConfig(seed=0), start_week=6)
+        outcomes = walk_forward(moved, seed=0, start_week=6)
         start = season_start(moved)
         table, _ = build_training_table(assign_labels(moved), moved.players)
         holding = {week_of(d, start) - 1 for d in table.dates}
@@ -205,7 +204,7 @@ class TestFeatureTrace:
 class TestSavings:
     def test_savings_accounting(self, small_season):
         log, _ = small_season
-        outcomes = walk_forward(log, PipelineConfig(seed=0), start_week=6)
+        outcomes = walk_forward(log, seed=0, start_week=6)
         report = savings(outcomes, log.injuries, 83)
         total = sum(i.days_absent for i in log.injuries)
         assert report.total_absence_days == total
