@@ -5,17 +5,14 @@ check the rules back against the ground truth the generator planted.
 """
 from injurycast import (
     GeneratorConfig,
-    ResamplingConfig,
-    adasyn,
     assign_labels,
     build_training_table,
     extract_rules,
-    fit_tree,
+    fit_forecaster,
     generate,
     render_handbook,
     rule_stats,
     run_pipeline,
-    tune,
 )
 from injurycast.generator import PLANTED_RULES
 
@@ -25,10 +22,7 @@ table, _ = build_training_table(assign_labels(log), log.players)
 # Full pipeline for feature selection, then a deployable tree fit on the
 # whole oversampled table restricted to the selected features.
 report = run_pipeline(table, seed=4)
-balanced = adasyn(table, ResamplingConfig(seed=4))
-selected = balanced.select_features(report.selected_features)
-hp = tune(selected, seed=4)
-model = fit_tree(selected, hp=hp, seed=4)
+model = fit_forecaster(table, 4, names=report.selected_features)
 
 rules = rule_stats(extract_rules(model),
                    table.select_features(report.selected_features))

@@ -248,6 +248,9 @@ def parse_season(sessions_file, injuries_file, players_file) -> SeasonLog:
             name, value = next((name, value) for name, value in zip(SESSIONS_HEADER[2:], values)
                                if not math.isfinite(value))
             raise MalformedRow(sessions_file, line, name, f"'{value}' is not a finite number")
+        if min(values[n:]) < 0:  # play_time and games, one check per row
+            name, value = ("play_time", values[n]) if values[n] < 0 else ("games", values[n + 1])
+            raise MalformedRow(sessions_file, line, name, f"'{value}' is negative")
         if pid not in players:
             raise UnknownPlayer(f"{sessions_file}:{line}: unknown player '{pid}'")
         if (pid, date) in seen:

@@ -86,10 +86,12 @@ def fit_logit(table, l2: float = 1e-3, max_iter: int = 5000, tol: float = 1e-6,
     b = 0.0
     step = 1.0
     loss, gw, gb = logit_loss_grad(w, b, X, y, l2)
-    for _ in range(max_iter):
+    for it in range(max_iter + 1):
         gnorm = float(np.sqrt(np.dot(gw, gw) + gb * gb))
         if gnorm < tol:
             return LinearModel(w, b, list(table.feature_names))
+        if it == max_iter:
+            raise NonConvergence(max_iter, gnorm)
         while step > 1e-12:
             w_new = w - step * gw
             b_new = b - step * gb
@@ -99,10 +101,6 @@ def fit_logit(table, l2: float = 1e-3, max_iter: int = 5000, tol: float = 1e-6,
             step *= 0.5
         w, b, loss, gw, gb = w_new, b_new, loss_new, gw_new, gb_new
         step = min(step * 2.0, 1e6)
-    gnorm = float(np.sqrt(np.dot(gw, gw) + gb * gb))
-    if gnorm >= tol:
-        raise NonConvergence(max_iter, gnorm)
-    return LinearModel(w, b, list(table.feature_names))
 
 
 def _cv_folds(table, folds, seed, data=None):

@@ -1,7 +1,7 @@
 """Confusion-matrix metrics, AUC and stratified splitting."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -83,16 +83,7 @@ class EvalReport:
     hyperparams: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "per_class": self.per_class,
-            "auc": self.auc,
-            "confusion": {"tp": self.confusion.tp, "fp": self.confusion.fp,
-                          "tn": self.confusion.tn, "fn": self.confusion.fn},
-            "seed": self.seed,
-            "split_sizes": self.split_sizes,
-            "selected_features": self.selected_features,
-            "hyperparams": self.hyperparams,
-        }
+        return asdict(self)
 
 
 def stratified_split(y, fraction: float, seed: int):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,9 +24,7 @@ class TreeHyperParams:
             raise ValueError("min_samples_leaf and min_samples_split must be >= 1")
 
     def to_dict(self) -> dict:
-        return {"max_depth": self.max_depth,
-                "min_samples_leaf": self.min_samples_leaf,
-                "min_samples_split": self.min_samples_split}
+        return asdict(self)
 
 
 def gini(class_counts) -> float:
@@ -47,14 +45,15 @@ class DecisionTreeModel:
     count ties predict class 0.
     """
 
+    # the node arrays and their dtypes, in to_dict's order; counts per node (n_class0, n_class1)
+    _NODES = (("feature", int), ("threshold", float), ("left", int), ("right", int),
+              ("counts", int))
+
     def __init__(self, feature_names, hyperparams: TreeHyperParams):
         self.feature_names = list(feature_names)
         self.hyperparams = hyperparams
-        self.feature = []
-        self.threshold = []
-        self.left = []
-        self.right = []
-        self.counts = []  # per node (n_class0, n_class1)
+        for name, _ in self._NODES:
+            setattr(self, name, [])
         self._raw_importance = None
         # (n_nodes, p): each feature's minimum weighted child impurity at each
         # split node, inf at leaves, so a refit without one column reads its
@@ -80,11 +79,8 @@ class DecisionTreeModel:
         return len(self.feature) - 1
 
     def _finalize(self):
-        self.feature = np.asarray(self.feature, dtype=int)
-        self.threshold = np.asarray(self.threshold, dtype=float)
-        self.left = np.asarray(self.left, dtype=int)
-        self.right = np.asarray(self.right, dtype=int)
-        self.counts = np.asarray(self.counts, dtype=int)
+        for name, dtype in self._NODES:
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
         self._depth = np.asarray(self._depth, dtype=int)
 
     def predict(self, X):
@@ -146,13 +142,7 @@ class DecisionTreeModel:
         return {
             "feature_names": self.feature_names,
             "hyperparams": self.hyperparams.to_dict(),
-            "nodes": {
-                "feature": self.feature.tolist(),
-                "threshold": self.threshold.tolist(),
-                "left": self.left.tolist(),
-                "right": self.right.tolist(),
-                "counts": self.counts.tolist(),
-            },
+            "nodes": {name: getattr(self, name).tolist() for name, _ in self._NODES},
             "raw_importance": (self._raw_importance.tolist()
                                if self._raw_importance is not None else None),
         }
@@ -169,16 +159,16 @@ class DecisionTreeModel:
             if (not isinstance(names, list) or not all(isinstance(n, str) for n in names)
                     or len(set(names)) < len(names)):
                 raise ConfigInvalid("model feature_names: need a list of distinct strings")
-            model = cls(names, TreeHyperParams(**data["hyperparams"]))
+            hp = TreeHyperParams(**data["hyperparams"])
+            _json_array([v for v in hp.to_dict().values() if v is not None], int, "hyperparams")
+            model = cls(names, hp)
             nodes = data["nodes"]
-            model.feature = np.asarray(nodes["feature"], dtype=int)
-            model.threshold = np.asarray(nodes["threshold"], dtype=float)
-            model.left = np.asarray(nodes["left"], dtype=int)
-            model.right = np.asarray(nodes["right"], dtype=int)
-            model.counts = np.asarray(nodes["counts"], dtype=int)
+            for name, dtype in cls._NODES:
+                setattr(model, name, _json_array(nodes[name], dtype, f"nodes {name}"))
             raw = data.get("raw_importance")
-            model._raw_importance = np.asarray(raw, dtype=float) if raw is not None else None
-        except (KeyError, TypeError, ValueError) as exc:
+            model._raw_importance = (_json_array(raw, float, "raw_importance")
+                                     if raw is not None else None)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigInvalid(f"not a model JSON ({exc!r})") from None
         feature, left, right, counts = model.feature, model.left, model.right, model.counts
         n, p = (len(feature) if feature.ndim == 1 else 0), len(model.feature_names)
@@ -207,6 +197,19 @@ class DecisionTreeModel:
     @classmethod
     def from_json(cls, text: str) -> "DecisionTreeModel":
         return cls.from_dict(json.loads(text))
+
+
+def _json_array(values, dtype, what):
+    """The JSON list `values` (of pairs, for counts) as an array of dtype int or float;
+    ConfigInvalid unless each entry is a JSON integer, or for float a finite number."""
+    cells = np.asarray(values, dtype=object)
+    kinds = (int,) if dtype is int else (int, float)
+    if all(type(v) in kinds for v in cells.flat):
+        array = cells.astype(dtype)
+        if dtype is int or np.isfinite(array).all():
+            return array
+    kind = "integers" if dtype is int else "finite numbers"
+    raise ConfigInvalid(f"model {what}: need {kind}")
 
 
 class Presorted:

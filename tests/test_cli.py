@@ -86,6 +86,20 @@ BAD_INPUTS = {
     "workload-nan": (["featurize", *SEASON, "--out", "t.csv"],
                      {"sessions.csv": SESSIONS + SESSION.replace("1.0", "nan", 1)},
                      1, "sessions.csv:2 column 'd_tot'"),
+    "play-time-negative": (["featurize", *SEASON, "--out", "t.csv"],
+                           {"sessions.csv": SESSIONS + SESSION.replace(",0,0\n", ",-40,0\n")},
+                           1, "sessions.csv:2 column 'play_time'"),
+    "games-negative": (["featurize", *SEASON, "--out", "t.csv"],
+                       {"sessions.csv": SESSIONS + SESSION.replace(",0,0\n", ",0,-3\n")},
+                       1, "sessions.csv:2 column 'games'"),
+    "session-unknown-player": (["ingest", *SEASON],
+                               {"sessions.csv": SESSIONS + SESSION.replace("P1", "P9")},
+                               1, "sessions.csv:2: unknown player 'P9'"),
+    "session-repeated": (["ingest", *SEASON], {"sessions.csv": SESSIONS + SESSION * 2},
+                         1, "sessions.csv:3: duplicate session P1@2014-01-06"),
+    "injury-unknown-player": (["ingest", *SEASON],
+                              {"injuries.csv": INJURIES + "P9,2014-01-07,2\n"},
+                              1, "injuries.csv:2: unknown player 'P9'"),
     "days-absent-0": (["ingest", *SEASON], {"injuries.csv": INJURIES + "P1,2014-01-07,0\n"},
                       1, "injuries.csv:2 column 'days_absent'"),
     "same-onset": (["ingest", *SEASON],
@@ -165,6 +179,35 @@ BAD_INPUTS = {
     "model-raw-importance-length": (["rules", "--model", "m.json"],
                                     {"m.json": model_json(raw_importance=[0.5, 0.5])},
                                     1, "raw_importance"),
+    # json.loads reads NaN and Infinity literally, and json.dumps writes them
+    "model-threshold-nan": (["rules", "--model", "m.json"],
+                            {"m.json": model_json(threshold=[float("nan"), 0.0, 0.0])},
+                            1, "nodes threshold: need finite numbers"),
+    "model-threshold-infinity": (["rules", "--model", "m.json"],
+                                 {"m.json": model_json(threshold=[float("inf"), 0.0, 0.0])},
+                                 1, "nodes threshold: need finite numbers"),
+    "model-raw-importance-nan": (["rules", "--model", "m.json"],
+                                 {"m.json": model_json(raw_importance=[float("nan")])},
+                                 1, "raw_importance: need finite numbers"),
+    "model-feature-a-float": (["rules", "--model", "m.json"],
+                              {"m.json": model_json(feature=[0.9, -1, -1])},
+                              1, "nodes feature: need integers"),
+    "model-feature-past-int64": (["rules", "--model", "m.json"],
+                                 {"m.json": model_json(feature=[2 ** 64, -1, -1])},
+                                 1, "not a model JSON"),
+    "model-count-a-float": (["rules", "--model", "m.json"],
+                            {"m.json": model_json(counts=[[2, 2], [2, 0], [0, 2.7]])},
+                            1, "nodes counts: need integers"),
+    "model-count-a-bool": (["rules", "--model", "m.json"],
+                           {"m.json": model_json(counts=[[2, 2], [2, 0], [0, True]])},
+                           1, "nodes counts: need integers"),
+    "model-child-a-string": (["rules", "--model", "m.json"],
+                             {"m.json": model_json(left=["1", -1, -1])},
+                             1, "nodes left: need integers"),
+    "model-max-depth-a-float": (
+        ["rules", "--model", "m.json"],
+        {"m.json": model_json().replace('"hyperparams": {}', '"hyperparams": {"max_depth": 2.5}')},
+        1, "hyperparams: need integers"),
     "start-week-0": (["simulate", *SEASON, "--seed", "0", "--start-week", "0",
                       "--out", "o.csv"], {}, 2, "--start-week"),
     "table-last-column-not-label": (["train", "--table", "t.csv", "--seed", "0",

@@ -1,6 +1,11 @@
+import numpy as np
 import pytest
 
-from injurycast.errors import SyntheticEvaluation
+from injurycast import pipeline
+from injurycast.data_model import assign_labels
+from injurycast.errors import NonConvergence, SyntheticEvaluation
+from injurycast.features import build_training_table
+from injurycast.generator import GeneratorConfig, generate
 from injurycast.metrics import stratified_split
 from injurycast.pipeline import (
     compare_forecasters,
@@ -54,6 +59,25 @@ class TestRunPipeline:
         r2 = run_pipeline(table, seed=2)
         assert r1.seed != r2.seed  # reports carry their seed for provenance
 
+    def test_too_few_injuries_to_oversample_pass_through(self, monkeypatch):
+        """The default season cut to two injury rows: the tuning part holds one and
+        each evaluation training fold one or none, below ADASYN's two, so each part
+        is used as it is and the protocol still completes."""
+        log, _ = generate(GeneratorConfig())
+        table, _ = build_training_table(assign_labels(log), log.players)
+        keep = np.flatnonzero(table.y == 0).tolist() + np.flatnonzero(table.y == 1)[:2].tolist()
+        oversampled, passed = pipeline._oversampled, []
+
+        def spy(part, seed):
+            out = oversampled(part, seed)
+            passed.append((int(part.y.sum()), out is part))
+            return out
+
+        monkeypatch.setattr(pipeline, "_oversampled", spy)
+        report = run_pipeline(table.take(np.sort(keep)), seed=0)
+        assert sorted(passed) == [(0, True), (1, True), (1, True)]
+        assert report.confusion.tp + report.confusion.fn == 1
+
 
 @pytest.fixture(scope="module")
 def reports(small_table):
@@ -77,6 +101,21 @@ class TestCompare:
     def test_tree_beats_degenerate_baselines(self, reports):
         assert (reports["DT"].per_class["injury"]["f1"]
                 > reports["B3"].per_class["injury"]["f1"])
+
+    def test_logit_without_convergence_predicts_no_injury(self, reports, small_table,
+                                                          monkeypatch):
+        """LR falls back to label 0 and score 0.5 on every row when its fit does not
+        converge; every other forecaster's report is the unpatched run's."""
+        def fit_logit(*args, **kwargs):
+            raise NonConvergence(1, 1.0)
+
+        monkeypatch.setattr(pipeline, "fit_logit", fit_logit)
+        patched = compare_forecasters(small_table, seed=0, n_forest_trees=10)
+        lr = patched.pop("LR")
+        assert lr.per_class["injury"] == {"precision": 0.0, "recall": 0.0, "f1": 0.0}
+        assert lr.auc == 0.5
+        assert ({name: r.to_dict() for name, r in patched.items()}
+                == {name: r.to_dict() for name, r in reports.items() if name != "LR"})
 
     def test_rendering(self, reports):
         rows = comparison_rows(reports)

@@ -111,6 +111,12 @@ class TestExtractRules:
         with pytest.raises(MissingColumn, match="'x0'"):
             rule.matches_matrix(np.zeros((3, 2)), ["a", "x1"])
 
+    def test_a_leaf_between_two_splits_is_a_two_sided_condition(self):
+        model = fit_tree(np.arange(6.0)[:, None], np.array([0, 0, 1, 1, 0, 0]),
+                         feature_names=["x"])
+        text = render_handbook(extract_rules(model))
+        assert "Rule 1: IF 1.50 < x <= 3.50 THEN injury" in text
+
     def test_boundary_semantics_match_tree_routing(self):
         model = hand_tree()
         rules = extract_rules(model)

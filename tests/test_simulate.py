@@ -5,9 +5,11 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from injurycast.data_model import SeasonLog, assign_labels
+from injurycast.cli import cli_main
+from injurycast.data_model import SeasonLog, assign_labels, write_season_csvs
 from injurycast.errors import InsufficientHistory
 from injurycast.features import build_training_table
+from injurycast.generator import GeneratorConfig, generate
 from injurycast.simulate import (
     _week_tables,
     cost,
@@ -103,6 +105,24 @@ class TestWalkForward:
             if o.degenerate:
                 assert all(pr == 0 for _, _, pr, _, _ in o.predictions)
                 assert o.selected_features == []
+
+    def test_a_season_with_one_injury_is_degenerate_every_week(self, tmp_path):
+        """No week ever knows two injury rows, so each predicts 0 for every row and
+        selects nothing, and simulate writes degenerate 1 on every line."""
+        log, _ = generate(GeneratorConfig(n_players=12, weeks=8, seed=7))
+        log = SeasonLog(players=log.players, sessions=log.sessions, injuries=log.injuries[:1])
+        outcomes = walk_forward(log, start_week=1)
+        assert [o.week for o in outcomes] == list(range(1, 8))
+        for o in outcomes:
+            assert o.degenerate and o.selected_features == []
+            assert o.predictions and all(pr == 0 for _, _, pr, _, _ in o.predictions)
+        paths = [str(tmp_path / name) for name in ("s.csv", "i.csv", "p.csv", "o.csv")]
+        write_season_csvs(log, *paths[:3])
+        assert cli_main(["simulate", "--sessions", paths[0], "--injuries", paths[1],
+                         "--players", paths[2], "--seed", "0", "--start-week", "1",
+                         "--out", paths[3], "--report", str(tmp_path / "r.json")]) == 0
+        lines = (tmp_path / "o.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[:2] for line in lines] == [[str(w), "1"] for w in range(1, 8)]
 
     def test_deterministic(self, small_season):
         log, _ = small_season
