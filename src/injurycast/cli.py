@@ -112,9 +112,18 @@ def _cmd_simulate(args):
     return 0
 
 
+def _read_json(path):
+    """The JSON value in the file at path; ConfigInvalid naming the file if the
+    text does not parse."""
+    with open_utf8(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigInvalid(f"{path}: not JSON ({exc})") from None
+
+
 def _cmd_rules(args):
-    with open_utf8(args.model) as fh:
-        model = DecisionTreeModel.from_json(fh.read())
+    model = DecisionTreeModel.from_dict(_read_json(args.model))
     rules = extract_rules(model)
     if args.table:
         rule_stats(rules, TrainingTable.from_csv(args.table))
@@ -125,10 +134,7 @@ def _cmd_rules(args):
 def _parse_generator_config(path, seed):
     """GeneratorConfig(seed=seed) with the JSON integers n_players and weeks the
     file at path may set."""
-    overrides = {}
-    if path:
-        with open_utf8(path) as fh:
-            overrides = json.load(fh)
+    overrides = _read_json(path) if path else {}
     if not isinstance(overrides, dict):
         raise ConfigInvalid(f"{path}: must hold a JSON object")
     settable = {f.name for f in dataclasses.fields(GeneratorConfig)} - {"seed"}
@@ -227,7 +233,7 @@ def cli_main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (InjurycastError, OSError, json.JSONDecodeError) as exc:
+    except (InjurycastError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -49,17 +49,22 @@ def _neighbours(Z: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
     Filter and refine. A block of at most min(p, _BLOCK // n) query rows gets
     approximate squared distances G = |z_i|^2 + |z_j|^2 - 2 z_i.z_j from one
     matrix product, in one (block x n) matrix, so it is never larger than Z or
-    1 MiB. Each query keeps as candidates the rows whose lower bound G - e is at
-    most U, the k-th smallest upper bound G + e (row i at +inf). Only those get
-    the exact distances np.linalg.norm(Z - Z[i], axis=1) computes for real
-    input, by its own operations, and the rows at or below the k-th of them are
-    sorted stably, as a full stable sort orders them.
+    1 MiB. np.einsum without `optimize` forms that product in numpy's own loop,
+    on the calling thread: np.matmul would hand it to BLAS, whose worker threads
+    spin after each product and keep their buffers for the life of the process,
+    for the one BLAS call of an ADASYN run. Each query keeps as candidates the
+    rows whose lower bound G - e is at most U, the k-th smallest upper bound
+    G + e (row i at +inf). Only those get the exact distances
+    np.linalg.norm(Z - Z[i], axis=1) computes for real input, by its own
+    operations, and the rows at or below the k-th of them are sorted stably, as
+    a full stable sort orders them.
 
     The margin e makes every row at or below the exact k-th distance a
     candidate. Let u = 2**-53, eps = 2 u, D the true squared distance and
-    S = |z_i|^2 + |z_j|^2. A p-term sum of products, in any order, errs by at
-    most gamma_p = p u / (1 - p u) times the sum of the terms' magnitudes
-    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3), so:
+    S = |z_i|^2 + |z_j|^2. A p-term sum of products, in any order (einsum's
+    loop or a BLAS kernel), errs by at most gamma_p = p u / (1 - p u) times the
+    sum of the terms' magnitudes (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3), so:
       - the doubled dot product errs by 2 gamma_p sum|z_i z_j| <= gamma_p S;
       - the two squared norms by gamma_p S together;
       - the two additions by u |result| <= 2 u S each;
@@ -85,7 +90,7 @@ def _neighbours(Z: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
     for s in range(0, len(rows), step):
         blk = rows[s:s + step]
         g = G[:len(blk)]
-        np.matmul(Z[blk], Z.T, out=g)
+        np.einsum("ik,jk->ij", Z[blk], Z, out=g)
         g *= -2.0
         g += sq
         g += sq[blk, None]

@@ -212,6 +212,10 @@ def _json_array(values, dtype, what):
     raise ConfigInvalid(f"model {what}: need {kind}")
 
 
+# a (P, n) matrix of fewer cells than this keeps its sorted row indices in int32
+_INT32_CELLS = 1 << 31
+
+
 class Presorted:
     """A training set as the tree grows from it: the columns as a C-ordered (P, n)
     matrix `cols`, each column's row indices in ascending order, ties in row order
@@ -219,6 +223,10 @@ class Presorted:
     indices into cols and rows of the p columns the set holds, named
     `feature_names`. Sorted once; every fit on these rows shares it and none
     changes it.
+
+    The row indices are int32 while cols has fewer than _INT32_CELLS cells and
+    intp past that: the same values in half the bytes, so no split, count or
+    minimum changes. A set taken from this one keeps its width.
     """
 
     def __init__(self, table_or_X, y=None, feature_names=None):
@@ -235,7 +243,10 @@ class Presorted:
         if X.shape[1] == 0:
             raise EmptyTable("cannot fit a tree with no features")
         self.cols = np.ascontiguousarray(X.T)
-        self.rows = np.argsort(self.cols, axis=1, kind="stable")
+        width = np.int32 if self.cols.size < _INT32_CELLS else np.intp
+        self.rows = np.empty(self.cols.shape, dtype=width)
+        for f, col in enumerate(self.cols):  # one column's intp sort at a time
+            self.rows[f] = np.argsort(col, kind="stable")
         self.y = y
         self.live = np.arange(len(self.cols))
         self.feature_names = list(feature_names)
@@ -254,7 +265,7 @@ class Presorted:
         order and nothing is sorted again (Presorted of the taken table)."""
         keep = np.zeros(len(self.y), dtype=bool)
         keep[idx] = True
-        renumber = np.cumsum(keep) - 1
+        renumber = np.cumsum(keep, dtype=self.rows.dtype) - 1
         out = copy.copy(self)
         out.cols = np.ascontiguousarray(self.cols[:, idx])
         out.rows = renumber.take(self.rows[keep.take(self.rows)]).reshape(len(self.rows), -1)
@@ -434,9 +445,12 @@ def _grow(data: Presorted, hp: TreeHyperParams = TreeHyperParams(), seed: int = 
     # every (candidates × rows) array of a search block, in one buffer that nodes
     # reuse (and the allocator keeps for the next fit): each block's sorted rows,
     # labels and values, and _best_split's scratch; the row indices are dead
-    # once the labels and values are taken, so the scratch reuses their row
+    # once the labels and values are taken, so the scratch reuses their row.
+    # The rows are gathered at their width into the labels' row and widened to
+    # intp once: take would widen int32 indices into a new array at each call.
     block = np.empty((5, size))
     gathered, sy_buf, sv_buf = block[0].view(np.intp), block[1].view(y.dtype), block[2]
+    narrow = block[1].view(data.rows.dtype)
     scratch = (block[0], *block[3:], np.empty(size, dtype=bool))
     # (the node's sorted rows, or None; else a mask of its rows, or None; depth,
     # parent, parent's link, prev's node with these rows or -1). A new node has
@@ -495,7 +509,9 @@ def _grow(data: Presorted, hp: TreeHyperParams = TreeHyperParams(), seed: int = 
                 part = cand[start:start + step]
                 # mode="clip" (indices are in range) lets take write into out unbuffered
                 shape = (len(part), rows.shape[1])
-                index = np.take(rows, part, axis=0, out=_shaped(gathered, shape), mode="clip")
+                index = _shaped(gathered, shape)
+                np.copyto(index, np.take(rows, part, axis=0, out=_shaped(narrow, shape),
+                                         mode="clip"))
                 sy = np.take(y, index, out=_shaped(sy_buf, shape), mode="clip")
                 np.add(index, offsets[part], out=index)
                 sv = np.take(cols, index, out=_shaped(sv_buf, shape), mode="clip")

@@ -143,6 +143,10 @@ BAD_INPUTS = {
     "config-weeks-past-date-max": (["generate", "--seed", "0", "--config", "c.json", *SEASON],
                                    {"c.json": '{"weeks": 416688}'}, 1,
                                    "c.json: weeks must be in [1, "),
+    "config-not-json": (["generate", "--seed", "0", "--config", "c.json", *SEASON],
+                        {"c.json": '{"a": '}, 1, "c.json: not JSON (Expecting value"),
+    "model-not-json": (["rules", "--model", "m.json"], {"m.json": '{"a": '},
+                       1, "m.json: not JSON (Expecting value"),
     "model-without-feature-names": (["rules", "--model", "m.json"],
                                     {"m.json": '{"hyperparams": {}, "nodes": {}}'},
                                     1, "feature_names"),

@@ -205,6 +205,22 @@ class TestBlockSearch:
                 want = [nearest_row(Zq, i, k) for i in rows]
                 np.testing.assert_array_equal(_neighbours(Zq, rows, k), want)
 
+    def test_calls_no_blas_routine(self, monkeypatch):
+        # numpy's products that hand their work to BLAS; einsum without `optimize`
+        # runs its own loop on the calling thread
+        log, _ = generate(GeneratorConfig(seed=7))
+        table, _ = build_training_table(assign_labels(log), log.players)
+        want = adasyn(table, ResamplingConfig(seed=7))
+
+        def blas(*args, **kwargs):
+            raise AssertionError("ADASYN called a BLAS product")
+
+        for name in ("matmul", "dot", "inner", "tensordot", "vdot"):
+            monkeypatch.setattr(np, name, blas)
+        got = adasyn(table, ResamplingConfig(seed=7))
+        assert got.X.tobytes() == want.X.tobytes()
+        assert got.y.tobytes() == want.y.tobytes()
+
 
 class TestAdasyn:
     def test_fills_class_gap_exactly(self):

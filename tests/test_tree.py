@@ -11,7 +11,7 @@ from injurycast.data_model import assign_labels
 from injurycast.errors import EmptyNode, EmptyTable, MissingFeature
 from injurycast.features import TrainingTable, build_training_table
 from injurycast.generator import GeneratorConfig, generate
-from injurycast.learners import default_grid
+from injurycast.learners import default_grid, rfecv, tune
 from injurycast.metrics import stratified_kfold
 from injurycast.resampling import ResamplingConfig, adasyn
 from injurycast.tree import (DecisionTreeModel, Presorted, TreeHyperParams, _grow, fit_tree,
@@ -528,6 +528,63 @@ class TestPresorted:
             assert got.feature_names == want.feature_names
 
 
+@pytest.fixture(scope="module")
+def balanced_default_season():
+    log, _ = generate(GeneratorConfig(seed=7))
+    table, _ = build_training_table(assign_labels(log), log.players)
+    return adasyn(table, ResamplingConfig(seed=7))
+
+
+class TestIndexWidth:
+    """Row indices are int32 below tree._INT32_CELLS cells and intp from there;
+    the limit cut to one cell sends every table down the intp path."""
+
+    def test_width_follows_the_cell_count(self, monkeypatch):
+        t = rand_table(n=30, p=3)
+        assert Presorted(t).rows.dtype == np.int32
+        monkeypatch.setattr(tree, "_INT32_CELLS", 90)
+        assert Presorted(t).rows.dtype == np.intp
+        monkeypatch.setattr(tree, "_INT32_CELLS", 91)
+        assert Presorted(t).rows.dtype == np.int32
+
+    def test_take_and_drop_keep_the_width(self, monkeypatch):
+        t = rand_table(n=60, p=4, n_pos=15, seed=2)
+        idx = np.flatnonzero(np.arange(60) % 3)
+        for width in (np.int32, np.intp):
+            if width is np.intp:
+                monkeypatch.setattr(tree, "_INT32_CELLS", 1)
+            data = Presorted(t)
+            assert data.rows.dtype == width
+            for got in (data.take(idx), data.drop(1), data.drop(1).take(idx)):
+                assert got.rows.dtype == width
+
+    @pytest.mark.parametrize("max_features", [None, 7])
+    def test_fit_is_the_same(self, balanced_default_season, monkeypatch, max_features):
+        fits = []
+        for width in (np.int32, np.intp):
+            if width is np.intp:
+                monkeypatch.setattr(tree, "_INT32_CELLS", 1)
+            data = Presorted(balanced_default_season)
+            assert data.rows.dtype == width
+            fits.append(_grow(data, hp=TreeHyperParams(max_depth=8), seed=7,
+                              max_features=max_features))
+        narrow, wide = fits
+        assert wide.to_json() == narrow.to_json()
+        if max_features is None:
+            np.testing.assert_array_equal(wide._minima, narrow._minima)
+        else:
+            assert wide._minima is None and narrow._minima is None
+
+    def test_tune_and_rfecv_are_the_same(self, balanced_default_season, monkeypatch):
+        t = balanced_default_season
+        narrow_hp, narrow_subset = tune(t, seed=7), rfecv(t, seed=7)
+        monkeypatch.setattr(tree, "_INT32_CELLS", 1)
+        assert tune(t, seed=7) == narrow_hp
+        wide_subset = rfecv(t, seed=7)
+        assert wide_subset.names == narrow_subset.names
+        assert wide_subset.score_trace == narrow_subset.score_trace
+
+
 def table_of(X, y):
     return TrainingTable([f"f{i}" for i in range(X.shape[1])], X, y,
                          [""] * len(y), [None] * len(y))
@@ -906,3 +963,14 @@ class TestBlockedSearch:
         finally:
             tracemalloc.stop()
         assert peak < 7 * table.X.nbytes
+
+    def test_int32_rows_keep_a_depth_5_fit_under_five_tables(self):
+        # the fit's peak is 4.5x X.nbytes with int32 rows and 6.0x with intp rows
+        table = rand_table(n=30000, p=20, n_pos=3000, seed=0)
+        tracemalloc.start()
+        try:
+            fit_tree(table, hp=TreeHyperParams(max_depth=5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * table.X.nbytes
