@@ -13,8 +13,9 @@ print(f"players: {len(log.players)}, sessions: {log.n_sessions}, "
       f"injuries: {len(log.injuries)}")
 print("injury causes:", ledger.count_by_rule())
 
-# Label every session: 1 when an injury onset follows within 3 days.
-labeling = assign_labels(log, horizon_days=3)
+# Label every session: 1 when an injury onset follows within 3 days
+# (data_model.HORIZON_DAYS, the horizon every command labels with).
+labeling = assign_labels(log)
 print(f"labeled examples: {len(labeling.labeled)} "
       f"({labeling.n_positive} injuries, {labeling.excluded_sessions} sessions "
       f"excluded for falling inside absence windows)")

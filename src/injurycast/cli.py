@@ -3,7 +3,6 @@ season simulation, rule extraction and synthetic-season generation."""
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -41,10 +40,6 @@ def _at_least(low, number=int):
     return parse
 
 
-def _load_log(args):
-    return parse_season(args.sessions, args.injuries, args.players)
-
-
 def _add_season_inputs(p):
     p.add_argument("--sessions", required=True, help="training-session CSV")
     p.add_argument("--injuries", required=True, help="injury-record CSV")
@@ -52,8 +47,8 @@ def _add_season_inputs(p):
 
 
 def _cmd_ingest(args):
-    log = _load_log(args)
-    labeling = assign_labels(log, horizon_days=args.horizon)
+    log = parse_season(args.sessions, args.injuries, args.players)
+    labeling = assign_labels(log)
     summary = {
         "players": len(log.players),
         "sessions": log.n_sessions,
@@ -68,8 +63,8 @@ def _cmd_ingest(args):
 
 
 def _cmd_featurize(args):
-    log = _load_log(args)
-    labeling = assign_labels(log, horizon_days=args.horizon)
+    log = parse_season(args.sessions, args.injuries, args.players)
+    labeling = assign_labels(log)
     table, summary = build_training_table(labeling, log.players)
     table.to_csv(args.out, include_meta=True)
     sys.stderr.write(summary.to_json() + "\n")
@@ -95,7 +90,7 @@ def _cmd_compare(args):
 
 
 def _cmd_simulate(args):
-    log = _load_log(args)
+    log = parse_season(args.sessions, args.injuries, args.players)
     outcomes = walk_forward(log, args.seed, start_week=args.start_week)
     lines = ["week,degenerate,detected,missed,cumulative_f1,selected_features"]
     for o in outcomes:
@@ -131,27 +126,8 @@ def _cmd_rules(args):
     return 0
 
 
-def _parse_generator_config(path, seed):
-    """GeneratorConfig(seed=seed) with the JSON integers n_players and weeks the
-    file at path may set."""
-    overrides = _read_json(path) if path else {}
-    if not isinstance(overrides, dict):
-        raise ConfigInvalid(f"{path}: must hold a JSON object")
-    settable = {f.name for f in dataclasses.fields(GeneratorConfig)} - {"seed"}
-    if not set(overrides) <= settable:
-        raise ConfigInvalid(f"{path}: cannot set {sorted(set(overrides) - settable)}; "
-                            f"settable keys are {sorted(settable)}")
-    for key, value in overrides.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigInvalid(f"{path}: key {key!r}: need an integer, got {value!r}")
-    try:
-        return GeneratorConfig(seed=seed, **overrides)
-    except ConfigInvalid as exc:
-        raise ConfigInvalid(f"{path}: {exc}") from None
-
-
 def _cmd_generate(args):
-    cfg = _parse_generator_config(args.config, args.seed)
+    cfg = GeneratorConfig(n_players=args.n_players, weeks=args.weeks, seed=args.seed)
     log, ledger = generate(cfg)
     write_season_csvs(log, args.sessions, args.injuries, args.players)
     if args.ledger:
@@ -172,13 +148,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="parse and validate season CSVs")
     _add_season_inputs(p)
-    p.add_argument("--horizon", type=_at_least(1), default=3)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("featurize", help="build the labeled feature table")
     _add_season_inputs(p)
-    p.add_argument("--horizon", type=_at_least(1), default=3)
     p.add_argument("--out", required=True, help="output table CSV")
     p.set_defaults(func=_cmd_featurize)
 
@@ -215,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate a synthetic season")
     p.add_argument("--seed", type=_at_least(0), required=True)
-    p.add_argument("--config", help="JSON object setting n_players and/or weeks")
+    p.add_argument("--n-players", type=_at_least(1), default=GeneratorConfig.n_players)
+    p.add_argument("--weeks", type=_at_least(1), default=GeneratorConfig.weeks)
     p.add_argument("--sessions", required=True, help="output sessions CSV")
     p.add_argument("--injuries", required=True, help="output injuries CSV")
     p.add_argument("--players", required=True, help="output players CSV")

@@ -26,6 +26,9 @@ SESSIONS_HEADER = ("player_id", "date") + WORKLOAD_FEATURES + ("play_time", "gam
 INJURIES_HEADER = ("player_id", "onset_date", "days_absent")
 PLAYERS_HEADER = ("player_id", "age", "height_cm", "mass_kg", "role")
 
+# a session is labelled by an injury whose onset is at most this many days after it
+HORIZON_DAYS = 3
+
 
 class Role(Enum):
     CENTRAL_BACK = "CentralBack"
@@ -278,16 +281,14 @@ def parse_season(sessions_file, injuries_file, players_file) -> SeasonLog:
     return SeasonLog(players=players, sessions=sessions, injuries=injuries)
 
 
-def assign_labels(log: SeasonLog, horizon_days: int = 3) -> LabelingResult:
+def assign_labels(log: SeasonLog) -> LabelingResult:
     """Attach each injury to the player's most recent preceding session.
 
     A session gets label 1 when an injury onset falls strictly after its date
-    and within `horizon_days` of it, with no later session in between.
+    and within HORIZON_DAYS of it, with no later session in between.
     Sessions inside an absence window [onset, onset + days_absent] are excluded.
     Injuries with no preceding session within the horizon are reported as orphans.
     """
-    if horizon_days < 1:
-        raise ValueError("horizon_days must be >= 1")
     labeled = []
     orphans = []
     excluded = 0
@@ -306,7 +307,7 @@ def assign_labels(log: SeasonLog, horizon_days: int = 3) -> LabelingResult:
         for inj in injuries:
             cands = [s for s in kept
                      if s.date < inj.onset_date
-                     and (inj.onset_date - s.date).days <= horizon_days]
+                     and (inj.onset_date - s.date).days <= HORIZON_DAYS]
             if cands and cands[-1].date not in attach:
                 attach[cands[-1].date] = inj
             else:

@@ -51,10 +51,6 @@ class EmptyTable(InjurycastError):
     pass
 
 
-class MissingFeature(InjurycastError):
-    pass
-
-
 class MissingColumn(InjurycastError):
     pass
 

@@ -52,20 +52,24 @@ class LinearModel:
 
     def predict(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        scores = 1.0 / (1.0 + np.exp(-(X @ self.weights + self.bias)))
+        scores = 1.0 / (1.0 + np.exp(-(np.einsum("ij,j->i", X, self.weights) + self.bias)))
         return (scores >= 0.5).astype(int), scores
 
 
 def logit_loss_grad(w, b, X, y, l2):
-    """L2-regularized mean log-loss and its gradient w.r.t. (w, b)."""
-    z = X @ w + b
+    """L2-regularized mean log-loss and its gradient w.r.t. (w, b).
+
+    np.einsum without `optimize` forms both products in numpy's own loop, on the
+    calling thread: X @ w would hand them to BLAS, whose sums are split, and so
+    rounded, by the number of threads it runs."""
+    z = np.einsum("ij,j->i", X, w) + b
     # stable log(1 + exp(z)) and sigmoid: exp only ever sees -|z|
     ez = np.exp(-np.abs(z))
     log1pexp = np.maximum(z, 0.0) + np.log1p(ez)
     loss = float(np.mean(log1pexp - y * z) + 0.5 * l2 * np.dot(w, w))
     sig = np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
     resid = sig - y
-    grad_w = X.T @ resid / len(y) + l2 * w
+    grad_w = np.einsum("ij,i->j", X, resid) / len(y) + l2 * w
     grad_b = float(np.mean(resid))
     return loss, grad_w, grad_b
 

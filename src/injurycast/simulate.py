@@ -28,23 +28,6 @@ class WeeklyOutcome:
     cumulative_f1: float
     selected_features: list
 
-    def to_dict(self) -> dict:
-        return {
-            "week": self.week,
-            "degenerate": self.degenerate,
-            "cutoff": self.cutoff.isoformat(),
-            "train_max_date": (self.train_max_date.isoformat()
-                               if self.train_max_date else None),
-            "detected": self.detected,
-            "missed": self.missed,
-            "cumulative_f1": self.cumulative_f1,
-            "selected_features": self.selected_features,
-            "predictions": [
-                {"player_id": p, "date": d.isoformat(), "predicted": int(pr),
-                 "label": int(lb), "onset": o.isoformat() if o else None}
-                for p, d, pr, lb, o in self.predictions],
-        }
-
 
 @dataclass
 class CostReport:

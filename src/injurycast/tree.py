@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalid, EmptyNode, EmptyTable, MissingFeature
+from .errors import ConfigInvalid, EmptyNode, EmptyTable, MissingColumn
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ class DecisionTreeModel:
         """Vectorized routing; returns (classes, minority-fraction scores)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != len(self.feature_names):
-            raise MissingFeature(
+            raise MissingColumn(
                 f"expected {len(self.feature_names)} features, got {X.shape[1]}")
         return self._predict(X, self.feature < 0)
 

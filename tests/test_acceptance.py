@@ -1,7 +1,6 @@
 """Acceptance suite: one test per acceptance criterion, each printing a
 single PASS/FAIL line (also echoed in the terminal summary)."""
 import datetime as dt
-import json
 import time
 from decimal import Decimal
 
@@ -314,15 +313,12 @@ def test_criterion_10_gradient_check():
 
 
 def test_criterion_11_cli_reproducibility(tmp_path):
-    gen_cfg = tmp_path / "gen.json"
-    gen_cfg.write_text(json.dumps({"n_players": 12, "weeks": 12}))
-
     def chain(root):
         root.mkdir()
         s, i, p = (str(root / f) for f in ("sessions.csv", "injuries.csv",
                                            "players.csv"))
         artifacts = {"sessions": s, "injuries": i, "players": p}
-        assert cli_main(["generate", "--seed", "7", "--config", str(gen_cfg),
+        assert cli_main(["generate", "--seed", "7", "--n-players", "12", "--weeks", "12",
                          "--sessions", s, "--injuries", i, "--players", p,
                          "--ledger", str(root / "ledger.json")]) == 0
         table = str(root / "table.csv")

@@ -21,9 +21,7 @@ def run(*argv):
 def season_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("season")
     paths = {k: str(root / f"{k}.csv") for k in ("sessions", "injuries", "players")}
-    cfg = root / "gen.json"
-    cfg.write_text(json.dumps({"n_players": 10, "weeks": 10}))
-    code = run("generate", "--seed", "5", "--config", str(cfg),
+    code = run("generate", "--seed", "5", "--n-players", "10", "--weeks", "10",
                "--sessions", paths["sessions"], "--injuries", paths["injuries"],
                "--players", paths["players"], "--ledger", str(root / "ledger.json"))
     assert code == 0
@@ -108,6 +106,9 @@ BAD_INPUTS = {
     "horizon-0-ingest": (["ingest", *SEASON, "--horizon", "0"], {}, 2, "--horizon"),
     "horizon-0-featurize": (["featurize", *SEASON, "--horizon", "0", "--out", "t.csv"], {},
                             2, "--horizon"),
+    # every command labels with data_model.HORIZON_DAYS; no value of --horizon is read
+    "horizon-option-removed": (["featurize", *SEASON, "--horizon", "5", "--out", "t.csv"], {},
+                               2, "unrecognized arguments: --horizon 5"),
     "salary-text": (["simulate", *SEASON, "--seed", "0", "--salary", "abc", "--out", "o.csv"],
                     {}, 2, "--salary"),
     "salary-negative": (["simulate", *SEASON, "--seed", "0", "--salary", "-5",
@@ -115,36 +116,27 @@ BAD_INPUTS = {
     "generate-seed-negative": (["generate", "--seed", "-1", *SEASON], {}, 2, "--seed"),
     "train-seed-negative": (["train", "--table", "t.csv", "--seed", "-1", "--out", "m.json"],
                             {}, 2, "--seed"),
-    "config-unknown-key": (["generate", "--seed", "0", "--config", "c.json", *SEASON],
-                           {"c.json": '{"n_playerz": 3}'}, 1, "n_playerz"),
-    "config-not-an-object": (["generate", "--seed", "0", "--config", "c.json", *SEASON],
-                             {"c.json": "[1, 2]"}, 1, "object"),
-    "config-count-not-a-number": (["generate", "--seed", "0", "--config", "c.json", *SEASON],
-                                  {"c.json": '{"n_players": "x"}'},
-                                  1, "c.json: key 'n_players'"),
-    "config-count-not-an-integer": (["generate", "--seed", "0", "--config", "c.json", *SEASON],
-                                    {"c.json": '{"weeks": 2.5}'}, 1, "c.json: key 'weeks'"),
-    "config-rule-without-fields": (["generate", "--seed", "0", "--config", "c.json", *SEASON],
-                                   {"c.json": '{"planted_rules": [{}]}'},
-                                   1, "cannot set ['planted_rules']"),
-    "config-stats-not-an-object": (["generate", "--seed", "0", "--config", "c.json", *SEASON],
-                                   {"c.json": '{"feature_stats": 5}'},
-                                   1, "cannot set ['feature_stats']"),
-    "config-rule-unknown-feature": (
-        ["generate", "--seed", "0", "--config", "c.json", *SEASON],
-        {"c.json": '{"planted_rules": [{"name": "r", "probability": 0.5, '
-                   '"conditions": [{"feature": "d_tot", "lo": 1}]}]}'},
-        1, "cannot set ['planted_rules']"),
-    "config-stats-missing-a-workload": (
-        ["generate", "--seed", "0", "--config", "c.json", *SEASON],
-        {"c.json": '{"feature_stats": {"d_tot": [1, 1]}}'}, 1, "cannot set ['feature_stats']"),
-    "config-count-a-bool": (["generate", "--seed", "0", "--config", "c.json", *SEASON],
-                            {"c.json": '{"n_players": true}'}, 1, "c.json: key 'n_players'"),
-    "config-weeks-past-date-max": (["generate", "--seed", "0", "--config", "c.json", *SEASON],
-                                   {"c.json": '{"weeks": 416688}'}, 1,
-                                   "c.json: weeks must be in [1, "),
-    "config-not-json": (["generate", "--seed", "0", "--config", "c.json", *SEASON],
-                        {"c.json": '{"a": '}, 1, "c.json: not JSON (Expecting value"),
+    # generate sets GeneratorConfig's n_players and weeks, and nothing else, by flags
+    "config-unknown-key": (["generate", "--seed", "0", "--n-playerz", "3", *SEASON], {},
+                           2, "unrecognized arguments: --n-playerz 3"),
+    "config-count-not-a-number": (["generate", "--seed", "0", "--n-players", "x", *SEASON],
+                                  {}, 2, "--n-players: invalid int value: 'x'"),
+    "config-count-not-an-integer": (["generate", "--seed", "0", "--n-players", "2.5",
+                                     *SEASON], {}, 2, "--n-players: invalid int value: '2.5'"),
+    "config-count-a-bool": (["generate", "--seed", "0", "--n-players", "true", *SEASON], {},
+                            2, "--n-players: invalid int value: 'true'"),
+    "config-weeks-past-date-max": (["generate", "--seed", "0", "--weeks", "416688", *SEASON],
+                                   {}, 1, "error: weeks must be in [1, 416687]"),
+    "config-option-removed": (["generate", "--seed", "0", "--config", "c.json", *SEASON],
+                              {"c.json": '{"n_players": 3}'},
+                              2, "unrecognized arguments: --config"),
+    "n-players-0": (["generate", "--seed", "0", "--n-players", "0", *SEASON], {},
+                    2, "--n-players: must be a finite number >= 1, got '0'"),
+    "weeks-not-an-integer": (["generate", "--seed", "0", "--weeks", "2.5", *SEASON], {},
+                             2, "--weeks: invalid int value: '2.5'"),
+    # far past the last week, too: the size is checked before any date is formed
+    "weeks-past-date-max": (["generate", "--seed", "0", "--weeks", str(10 ** 30), *SEASON],
+                            {}, 1, "error: weeks must be in [1, "),
     "model-not-json": (["rules", "--model", "m.json"], {"m.json": '{"a": '},
                        1, "m.json: not JSON (Expecting value"),
     "model-without-feature-names": (["rules", "--model", "m.json"],
@@ -280,13 +272,13 @@ def test_bad_value_is_one_line_error(tmp_path, capsys, case):
                                  "return_ramp_factor", "start_date"])
 def test_config_sets_only_size(tmp_path, capsys, key):
     """The generator's other settings are constants of injurycast.generator: a
-    config naming one is refused before any season is generated."""
-    argv = in_dir(tmp_path, ["generate", "--seed", "0", "--config", "c.json", *SEASON],
-                  {"c.json": json.dumps({"weeks": 3, key: 1})})
-    assert run(*argv) == 1
+    flag naming one is refused before any season is generated."""
+    flag = "--" + key.replace("_", "-")
+    argv = in_dir(tmp_path, ["generate", "--seed", "0", "--weeks", "3", flag, "1", *SEASON])
+    assert run(*argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert f"cannot set [{key!r}]; settable keys are ['n_players', 'weeks']" in err
+    assert f"unrecognized arguments: {flag} 1" in err
     assert (tmp_path / "sessions.csv").read_text() == GOOD_FILES["sessions.csv"]
 
 
@@ -321,9 +313,7 @@ def test_directory_path_is_one_line_error(tmp_path, capsys, argv):
     (["rules", "--model", "m.json"], "m.json", model_json().replace('"x"', '"\xe9"')),
     (["train", "--table", "t.csv", "--seed", "0", "--out", "m.json"], "t.csv",
      "x\xe9,label\n1.0,0\n"),
-    (["generate", "--seed", "0", "--config", "c.json", *SEASON], "c.json",
-     '{"n_players": 3, "weeks": 3, "n\xe9": 1}'),
-], ids=["csv", "model", "table", "config"])
+], ids=["csv", "model", "table"])
 def test_file_that_is_not_utf8_is_one_line_error(tmp_path, capsys, argv, name, data):
     argv = in_dir(tmp_path, argv)
     (tmp_path / name).write_bytes(data.encode("latin-1"))
@@ -381,10 +371,8 @@ class TestGenerateIngest:
         assert summary["injuries"] == len(ledger["injuries"])
 
     def test_generate_deterministic(self, season_files, tmp_path):
-        cfg = tmp_path / "gen.json"
-        cfg.write_text(json.dumps({"n_players": 10, "weeks": 10}))
         paths = [str(tmp_path / n) for n in ("s.csv", "i.csv", "p.csv")]
-        assert run("generate", "--seed", "5", "--config", str(cfg),
+        assert run("generate", "--seed", "5", "--n-players", "10", "--weeks", "10",
                    "--sessions", paths[0], "--injuries", paths[1],
                    "--players", paths[2]) == 0
         for fresh, original in zip(paths, (season_files["sessions"],

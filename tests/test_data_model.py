@@ -99,7 +99,7 @@ class TestAssignLabels:
     def test_attaches_most_recent_session_within_horizon(self):
         # sessions on days 0 and 2; onset day 3 -> day-2 session labeled
         log = make_log([0, 2], injury_specs=[(3, 2)])
-        res = assign_labels(log, horizon_days=3)
+        res = assign_labels(log)
         labels = {ls.session.date: ls.label for ls in res.labeled}
         assert labels == {day(0): 0, day(2): 1}
         assert res.labeled[1].injury_onset == day(3)
@@ -108,35 +108,31 @@ class TestAssignLabels:
     def test_horizon_is_strict(self):
         # onset 4 days after the only session: outside a 3-day horizon
         log = make_log([0], injury_specs=[(4, 2)])
-        res = assign_labels(log, horizon_days=3)
+        res = assign_labels(log)
         assert res.n_positive == 0
         assert res.orphan_injuries == log.injuries
 
     def test_absence_window_excludes_sessions(self):
         # injury onset day 3, absent 4 days: sessions on days 3..7 are dropped
         log = make_log([2, 5, 9], injury_specs=[(3, 4)])
-        res = assign_labels(log, horizon_days=3)
+        res = assign_labels(log)
         assert res.excluded_sessions == 1
         assert [ls.session.date for ls in res.labeled] == [day(2), day(9)]
 
     def test_same_day_session_not_labeled(self):
         # the onset-day session sits inside the absence window, not before it
         log = make_log([3], injury_specs=[(3, 2)])
-        res = assign_labels(log, horizon_days=3)
+        res = assign_labels(log)
         assert res.excluded_sessions == 1
         assert res.orphan_injuries == log.injuries
 
     def test_collision_yields_orphan(self):
         # two onsets both attach to the day-0 session; the later one orphans
         log = make_log([0], injury_specs=[(1, 1), (3, 2)])
-        res = assign_labels(log, horizon_days=3)
+        res = assign_labels(log)
         assert res.n_positive == 1
         assert res.labeled[0].injury_onset == day(1)
         assert [i.onset_date for i in res.orphan_injuries] == [day(3)]
-
-    def test_bad_horizon(self):
-        with pytest.raises(ValueError):
-            assign_labels(make_log([0]), horizon_days=0)
 
     def test_invariants_on_random_logs(self):
         import numpy as np
@@ -149,7 +145,7 @@ class TestAssignLabels:
                 log = make_log(offsets, injury_specs=[(onset, absent)])
             except ValueError:
                 continue
-            res = assign_labels(log, horizon_days=3)
+            res = assign_labels(log)
             for ls in res.labeled:
                 # no labeled session inside the absence window
                 assert not (day(onset) <= ls.session.date

@@ -38,8 +38,8 @@ GOLDEN = {
     },
 }
 
-# digest of json.dumps([o.to_dict() for o in walk_forward(...)], sort_keys=True) on
-# the same season, forecasting from week 7 as the chain's simulate step does
+# digest of json.dumps([outcome_record(o) for o in walk_forward(...)], sort_keys=True)
+# on the same season, forecasting from week 7 as the chain's simulate step does
 WALK_FORWARD_GOLDEN = {
     5: "1dbc80b8b1cad6295a5a437a5f0e4f396a73590f3fd808a1b44cf858426c8847",
     11: "4c8035fb0faa85c9aa1fedbd70eac70e52fa36eb50c64d2647c8dbb7ae02e7c1",
@@ -101,10 +101,27 @@ BENCH_SEASON_GOLDEN = {
 }
 
 
+def outcome_record(outcome) -> dict:
+    """A WeeklyOutcome as the JSON object its golden digest was recorded from."""
+    return {
+        "week": outcome.week,
+        "degenerate": outcome.degenerate,
+        "cutoff": outcome.cutoff.isoformat(),
+        "train_max_date": (outcome.train_max_date.isoformat()
+                           if outcome.train_max_date else None),
+        "detected": outcome.detected,
+        "missed": outcome.missed,
+        "cumulative_f1": outcome.cumulative_f1,
+        "selected_features": outcome.selected_features,
+        "predictions": [
+            {"player_id": p, "date": d.isoformat(), "predicted": int(pr),
+             "label": int(lb), "onset": o.isoformat() if o else None}
+            for p, d, pr, lb, o in outcome.predictions],
+    }
+
+
 def chain_digests(root, seed: int) -> dict:
     """Run generate -> featurize -> train -> compare -> simulate -> rules and hash every artifact."""
-    cfg = root / "gen.json"
-    cfg.write_text(json.dumps(SEASON))
     season = [str(root / f"{k}.csv") for k in ("sessions", "injuries", "players")]
     s_args = ["--sessions", season[0], "--injuries", season[1], "--players", season[2]]
     out = {k: str(root / v) for k, v in (
@@ -112,7 +129,8 @@ def chain_digests(root, seed: int) -> dict:
         ("compare", "compare.csv"), ("weekly", "weekly.csv"),
         ("simulate_report", "simulate.json"), ("handbook", "handbook.json"))}
     steps = [
-        ["generate", "--seed", str(seed), "--config", str(cfg)] + s_args,
+        ["generate", "--seed", str(seed), "--n-players", str(SEASON["n_players"]),
+         "--weeks", str(SEASON["weeks"])] + s_args,
         ["featurize"] + s_args + ["--out", out["table"]],
         ["train", "--table", out["table"], "--seed", str(seed), "--out", out["model"],
          "--report", out["report"]],
@@ -141,7 +159,7 @@ def test_chain_matches_golden(tmp_path, seed):
 def test_walk_forward_outcomes_match_golden(seed):
     log, _ = generate(GeneratorConfig(seed=seed, **SEASON))
     outcomes = walk_forward(log, seed=seed, start_week=7)
-    text = json.dumps([o.to_dict() for o in outcomes], sort_keys=True)
+    text = json.dumps([outcome_record(o) for o in outcomes], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == WALK_FORWARD_GOLDEN[seed]
 
 
@@ -149,7 +167,7 @@ def test_walk_forward_outcomes_match_golden(seed):
 def test_wide_season_walk_forward_matches_golden(seed):
     log, _ = generate(GeneratorConfig(seed=seed, **WIDE_SEASON))
     outcomes = walk_forward(log, seed=seed, start_week=6)
-    text = json.dumps([o.to_dict() for o in outcomes], sort_keys=True)
+    text = json.dumps([outcome_record(o) for o in outcomes], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == WIDE_WALK_FORWARD_GOLDEN[seed]
 
 

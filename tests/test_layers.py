@@ -9,6 +9,9 @@ a tree.py that reaches for a table, a metric or a learner fails too.
 
 Every CSV the package reads goes through one reader, data_model.read_csv, so
 a second call of csv.reader, or of csv.DictReader, fails as well.
+
+No module hands a product to BLAS, whose sums round by the number of threads it
+runs, so an `@` operator or a call of matmul or tensordot fails too.
 """
 import ast
 import pathlib
@@ -92,3 +95,32 @@ def test_the_csv_check_sees_each_reader_form(tmp_path):
                     "def b(fh):\n    return list(csv.DictReader(fh))\n"
                     "def c(fh):\n    csv.writer(fh).writerow([1])\n")
     assert csv_reader_calls(path) == {"<module>", "a", "b"}
+
+
+def blas_products(path):
+    """Line numbers of the `@` operators and the matmul or tensordot calls in a
+    source file."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.add(node.lineno)
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in ("matmul", "tensordot"):
+                found.add(node.lineno)
+    return found
+
+
+def test_no_module_calls_blas():
+    calls = {f"{path.stem}.py:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in blas_products(path)}
+    assert not calls, f"products handed to BLAS at {sorted(calls)}"
+
+
+def test_the_blas_check_sees_each_product_form(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("import numpy as np\nfrom numpy import matmul\n"
+                    "a = np.ones((2, 2)) @ np.ones(2)\nb = np.ones((2, 2))\nb @= b\n"
+                    "c = np.matmul(b, b)\nd = matmul(b, b)\ne = np.tensordot(b, b, 1)\n"
+                    "f = np.einsum('ij,j->i', b, np.ones(2))\ng = b * b\n")
+    assert blas_products(path) == {3, 5, 6, 7, 8}

@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -21,7 +26,7 @@ from injurycast.learners import (
     tune,
 )
 from injurycast.metrics import stratified_kfold
-from injurycast.resampling import ResamplingConfig, adasyn
+from injurycast.resampling import ResamplingConfig, adasyn, standardize
 from injurycast.tree import TreeHyperParams, _grow
 
 from conftest import planted_table, rand_table
@@ -339,6 +344,33 @@ class TestLogit:
         light = fit_logit(table_from(X, y), l2=1e-4, seed=0)
         heavy = fit_logit(table_from(X, y), l2=10.0, seed=0)
         assert np.linalg.norm(heavy.weights) < np.linalg.norm(light.weights)
+
+    def test_fit_and_scores_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # a 4x season's balanced table, standardized as the LR forecaster's is:
+        # BLAS products split over 1 or 2 threads round this one differently
+        log, _ = generate(GeneratorConfig(n_players=104, seed=7))
+        table, _ = build_training_table(assign_labels(log), log.players)
+        table = adasyn(table, ResamplingConfig(seed=7))
+        np.save(tmp_path / "X.npy", standardize(table.X, table.X))
+        np.save(tmp_path / "y.npy", table.y)
+        child = ("import sys, numpy as np\n"
+                 "from injurycast.features import TrainingTable\n"
+                 "from injurycast.learners import fit_logit\n"
+                 "X, y = np.load(sys.argv[1] + '/X.npy'), np.load(sys.argv[1] + '/y.npy')\n"
+                 "t = TrainingTable([str(j) for j in range(X.shape[1])], X, y,"
+                 " [''] * len(y), [None] * len(y))\n"
+                 "m = fit_logit(t, tol=1e-4)\n"
+                 "print(m.weights.tobytes().hex(), m.bias.hex(), m.predict(X)[1].tobytes().hex())\n")
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        out = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            done = subprocess.run([sys.executable, "-c", child, str(tmp_path)], env=env,
+                                  capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+            out.append(done.stdout)
+        assert out[0] == out[1]
 
 
 class TestForest:

@@ -128,7 +128,7 @@ class TestWalkForward:
         log, _ = small_season
         a = walk_forward(log, seed=0, start_week=6)
         b = walk_forward(log, seed=0, start_week=6)
-        assert [o.to_dict() for o in a] == [o.to_dict() for o in b]
+        assert a == b
 
     def test_a_far_future_session_forecasts_only_the_weeks_holding_rows(self,
                                                                         small_season):
@@ -145,13 +145,6 @@ class TestWalkForward:
         assert [o.week for o in outcomes] == sorted(w for w in holding if w >= 6)
         assert outcomes[-1].week == week_of(dt.date.max, start) - 1
         assert [d for _, d, *_ in outcomes[-1].predictions] == [dt.date.max]
-
-    def test_to_dict_serializes(self, outcomes_and_log):
-        outcomes, _ = outcomes_and_log
-        d = outcomes[-1].to_dict()
-        assert set(d) >= {"week", "degenerate", "cutoff", "train_max_date",
-                          "detected", "missed", "cumulative_f1",
-                          "selected_features", "predictions"}
 
 
 def truncated_week_tables(log, final_onsets, cutoff):

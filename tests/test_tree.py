@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from injurycast import tree
 from injurycast.data_model import assign_labels
-from injurycast.errors import EmptyNode, EmptyTable, MissingFeature
+from injurycast.errors import EmptyNode, EmptyTable, MissingColumn
 from injurycast.features import TrainingTable, build_training_table
 from injurycast.generator import GeneratorConfig, generate
 from injurycast.learners import default_grid, rfecv, tune
@@ -247,9 +247,9 @@ class TestFitTree:
         with pytest.raises(EmptyTable):
             fit_tree(np.zeros((3, 0)), np.zeros(3, dtype=int))
         model = fit_tree(np.zeros((2, 2)), np.array([0, 1]))
-        with pytest.raises(MissingFeature):
+        with pytest.raises(MissingColumn):
             model.predict(np.zeros((1, 3)))
-        with pytest.raises(MissingFeature):
+        with pytest.raises(MissingColumn):
             model.predict(np.zeros((1, 1)))
 
     def test_hyperparam_validation(self):
