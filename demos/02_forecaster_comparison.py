@@ -30,5 +30,5 @@ print()
 # The same split/fold protocol applied to every forecaster at once.
 # B1 guesses with the class distribution, B2 never alarms, B3 always alarms,
 # B4 alarms on any prior injury; C_* combine twelve single-feature ACWR rules.
-reports = compare_forecasters(table, seed=1, n_forest_trees=30)
+reports = compare_forecasters(table, seed=1)
 print(render_comparison(reports))

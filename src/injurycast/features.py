@@ -11,7 +11,7 @@ from itertools import groupby, repeat
 import numpy as np
 
 from .data_model import WORKLOAD_FEATURES, LabelingResult, _csv_cell, read_csv
-from .errors import EmptySeries, MalformedRow, MissingWindow
+from .errors import EmptySeries, FeatureOverflow, MalformedRow, MissingWindow
 
 PERSONAL_FEATURES = ("age", "bmi", "role", "pi", "play_time", "games")
 
@@ -137,6 +137,14 @@ class TrainingTable:
             i, j = bad[0]
             raise MalformedRow(path, lines[i], names[j], f"non-finite value {float(X[i, j])}")
         return cls(names, X, np.array(y), pids, dates, np.array(synth, dtype=bool))
+
+
+def _require_finite(M: np.ndarray, names: list[str], what: str) -> None:
+    """Raise FeatureOverflow naming the first column of M that is not finite."""
+    bad = ~np.isfinite(M).all(axis=0)
+    if bad.any():
+        raise FeatureOverflow(f"{what} column '{names[int(np.argmax(bad))]}' "
+                              "overflows: its values are too near the float limit")
 
 
 @dataclass
@@ -290,6 +298,7 @@ def mswr(dates, values, as_of: dt.date) -> float:
     return float(_mswr_rows(*_one_series(dates, values, as_of))[0, 0])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # reported by the check at the end
 def build_training_table(labeling: LabelingResult, profiles: dict):
     """Assemble the 55-feature TrainingTable and a BuildSummary from labeled sessions.
 
@@ -297,7 +306,8 @@ def build_training_table(labeling: LabelingResult, profiles: dict):
     sessions) matrix. Each player's dates become day numbers of their own, so one
     window search covers every session and no window reaches another player, and
     each window statistic reduces all windows of one length in one block. The
-    EWMAs recurse over one player's sessions at a time.
+    EWMAs recurse over one player's sessions at a time. Workloads so near the
+    float limit that a feature comes out non-finite raise FeatureOverflow.
     """
     seq = sorted(labeling.labeled, key=lambda ls: (ls.session.player_id, ls.session.date))
     sessions = [ls.session for ls in seq]
@@ -327,6 +337,7 @@ def build_training_table(labeling: LabelingResult, profiles: dict):
         _mswr_rows(W, days, days).T,
         smooth[:, -1],
     ])
+    _require_finite(X, FEATURE_NAMES, "feature")
     summary = BuildSummary(n_examples=len(labels), n_injury=int(sum(labels)),
                            orphan_injuries=len(labeling.orphan_injuries),
                            excluded_sessions=labeling.excluded_sessions)

@@ -9,6 +9,16 @@ from .errors import EmptyTable, NonConvergence
 from .metrics import ConfusionMatrix, metrics, stratified_kfold
 from .tree import Presorted, TreeHyperParams, _grow, fit_tree
 
+# the protocol's settings: RFECV's tree and folds, tune's folds, the forest's size,
+# and the logistic regression's penalty and stopping rule
+RFECV_HP = TreeHyperParams(max_depth=5)
+RFECV_FOLDS = 3
+TUNE_FOLDS = 2
+FOREST_TREES = 50
+LOGIT_L2 = 1e-3
+LOGIT_MAX_ITER = 5000
+LOGIT_TOL = 1e-4
+
 
 def default_grid():
     """Search space for decision-tree tuning; small enough for repeated trials."""
@@ -18,37 +28,33 @@ def default_grid():
             for s in (2, 10)]
 
 
+@dataclass
 class ForestModel:
     """Bagged CART ensemble with sqrt(p) feature subsampling per split."""
-
-    def __init__(self, trees, feature_names):
-        self.trees = trees
-        self.feature_names = list(feature_names)
+    trees: list
 
     def predict(self, X):
         scores = np.mean([t.predict(X)[1] for t in self.trees], axis=0)
         return (scores >= 0.5).astype(int), scores
 
 
-def fit_forest(table, n_trees: int, hp: TreeHyperParams = TreeHyperParams(),
-               seed: int = 0) -> ForestModel:
+def fit_forest(table, hp: TreeHyperParams = TreeHyperParams(), seed: int = 0) -> ForestModel:
     if len(table) == 0:
         raise EmptyTable("cannot fit a forest on an empty table")
     rng = np.random.default_rng(seed)
     max_features = max(1, int(round(np.sqrt(len(table.feature_names)))))
     trees = []
-    for _ in range(n_trees):
+    for _ in range(FOREST_TREES):
         sub = table.take(rng.integers(0, len(table), size=len(table)))
         trees.append(fit_tree(sub, hp=hp, seed=int(rng.integers(2 ** 31)),
                               max_features=max_features))
-    return ForestModel(trees, table.feature_names)
+    return ForestModel(trees)
 
 
 @dataclass
 class LinearModel:
     weights: np.ndarray
     bias: float
-    feature_names: list
 
     def predict(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -74,12 +80,11 @@ def logit_loss_grad(w, b, X, y, l2):
     return loss, grad_w, grad_b
 
 
-def fit_logit(table, l2: float = 1e-3, max_iter: int = 5000, tol: float = 1e-6,
-              seed: int = 0) -> LinearModel:
+def fit_logit(table, seed: int = 0) -> LinearModel:
     """Logistic regression by gradient descent with backtracking line search.
 
     Expects standardized features; raises NonConvergence when the gradient
-    norm stays above tol after max_iter iterations.
+    norm stays above LOGIT_TOL after LOGIT_MAX_ITER iterations.
     """
     if len(table) == 0:
         raise EmptyTable("cannot fit a logit model on an empty table")
@@ -89,17 +94,17 @@ def fit_logit(table, l2: float = 1e-3, max_iter: int = 5000, tol: float = 1e-6,
     w = rng.normal(scale=1e-3, size=X.shape[1])
     b = 0.0
     step = 1.0
-    loss, gw, gb = logit_loss_grad(w, b, X, y, l2)
-    for it in range(max_iter + 1):
+    loss, gw, gb = logit_loss_grad(w, b, X, y, LOGIT_L2)
+    for it in range(LOGIT_MAX_ITER + 1):
         gnorm = float(np.sqrt(np.dot(gw, gw) + gb * gb))
-        if gnorm < tol:
-            return LinearModel(w, b, list(table.feature_names))
-        if it == max_iter:
-            raise NonConvergence(max_iter, gnorm)
+        if gnorm < LOGIT_TOL:
+            return LinearModel(w, b)
+        if it == LOGIT_MAX_ITER:
+            raise NonConvergence(LOGIT_MAX_ITER, gnorm)
         while step > 1e-12:
             w_new = w - step * gw
             b_new = b - step * gb
-            loss_new, gw_new, gb_new = logit_loss_grad(w_new, b_new, X, y, l2)
+            loss_new, gw_new, gb_new = logit_loss_grad(w_new, b_new, X, y, LOGIT_L2)
             if loss_new <= loss - 0.5 * step * gnorm ** 2:
                 break
             step *= 0.5
@@ -107,29 +112,25 @@ def fit_logit(table, l2: float = 1e-3, max_iter: int = 5000, tol: float = 1e-6,
         step = min(step * 2.0, 1e6)
 
 
-def _cv_folds(table, folds, seed, data=None):
+def _cv_folds(table, folds, seed, data):
     """Seeded stratified k-fold of `table` as (train, test) pairs: the training
     rows presorted (tree.Presorted) and the test rows a table. Each training side
-    is taken from `data`, the whole table presorted (built here when not given),
-    so one sort serves every fold and every fit of a search."""
-    data = Presorted(table) if data is None else data
+    is taken from `data`, the whole table presorted, so one sort serves every
+    fold and every fit of a search."""
     return [(data.take(train_idx), table.take(test_idx))
             for train_idx, test_idx in stratified_kfold(table.y, folds, seed)]
 
 
-def _f1(y, pred):
-    return metrics(ConfusionMatrix.from_predictions(y, pred))["injury"]["f1"]
+def _fold_f1(model, test, stop, feature=None):
+    """Injury F1 on the test table of model's predictions at the nodes the mask
+    stop marks (DecisionTreeModel._apply). Routing reads column feature[node] of
+    test in place (the model's own feature by default); leaves read none."""
+    pred = model._predict(test.X, stop, feature)[0]
+    return metrics(ConfusionMatrix.from_predictions(test.y, pred))["injury"]["f1"]
 
 
-def _injury_f1(model, test, live=None):
-    """Injury F1 of model on the test table, whose column live[f] holds the model's
-    feature f (feature f itself by default); routing reads the columns in place."""
-    feature = None if live is None else live[model.feature]  # leaves read no column
-    return _f1(test.y, model._predict(test.X, model.feature < 0, feature)[0])
-
-
-def tune(table, grid=None, folds: int = 2, seed: int = 0) -> TreeHyperParams:
-    """Grid point maximizing mean injury-class F1 under stratified k-fold CV.
+def tune(table, grid=None, seed: int = 0) -> TreeHyperParams:
+    """Grid point maximizing mean injury-class F1 under stratified TUNE_FOLDS-fold CV.
 
     Ties prefer the smaller max_depth, then the larger min_samples_leaf.
 
@@ -141,7 +142,7 @@ def tune(table, grid=None, folds: int = 2, seed: int = 0) -> TreeHyperParams:
     grid = list(grid) if grid is not None else default_grid()
     if not grid:
         raise ValueError("hyperparameter grid is empty")
-    cv = _cv_folds(table, folds, seed)
+    cv = _cv_folds(table, TUNE_FOLDS, seed, Presorted(table))
     deep = {}  # min_samples_leaf -> one tree per fold
     for leaf in dict.fromkeys(hp.min_samples_leaf for hp in grid):
         group = [hp for hp in grid if hp.min_samples_leaf == leaf]
@@ -149,16 +150,14 @@ def tune(table, grid=None, folds: int = 2, seed: int = 0) -> TreeHyperParams:
         deepest = TreeHyperParams(None if None in depths else max(depths), leaf,
                                   min(hp.min_samples_split for hp in group))
         deep[leaf] = [_grow(train, deepest, seed) for train, _ in cv]
-    best_hp, best_key = None, None
-    for hp in grid:
-        cut = (hp.max_depth, hp.min_samples_split)
-        score = float(np.mean([_f1(test.y, model._predict(test.X, model._cut(*cut))[0])
-                               for model, (_, test) in zip(deep[hp.min_samples_leaf], cv)]))
+
+    def key(hp):
+        score = float(np.mean([
+            _fold_f1(model, test, model._cut(hp.max_depth, hp.min_samples_split))
+            for model, (_, test) in zip(deep[hp.min_samples_leaf], cv)]))
         depth = hp.max_depth if hp.max_depth is not None else np.inf
-        key = (-score, depth, -hp.min_samples_leaf)
-        if best_key is None or key < best_key:
-            best_hp, best_key = hp, key
-    return best_hp
+        return -score, depth, -hp.min_samples_leaf
+    return min(grid, key=key)  # the first of tied points
 
 
 @dataclass
@@ -171,8 +170,7 @@ class FeatureSubset:
             raise ValueError("feature subset must be non-empty")
 
 
-def rfecv(table, hp: TreeHyperParams = TreeHyperParams(max_depth=5),
-          folds: int = 3, seed: int = 0) -> FeatureSubset:
+def rfecv(table, seed: int = 0) -> FeatureSubset:
     """Recursive feature elimination (step 1) with cross-validated scoring.
 
     At each size the current subset is scored by stratified-CV injury F1 and
@@ -188,7 +186,7 @@ def rfecv(table, hp: TreeHyperParams = TreeHyperParams(max_depth=5),
     the live columns, so no table is narrowed.
     """
     data = Presorted(table)
-    cv = _cv_folds(table, folds, seed, data)
+    cv = _cv_folds(table, RFECV_FOLDS, seed, data)
     fold_models = [None] * len(cv)
     fold_f1 = [None] * len(cv)
     model = None
@@ -197,15 +195,15 @@ def rfecv(table, hp: TreeHyperParams = TreeHyperParams(max_depth=5),
     subsets = {}
     while True:
         names = data.feature_names
-        fold_models = [_grow(train, hp=hp, seed=seed, prev=prev, dropped=dropped)
+        fold_models = [_grow(train, hp=RFECV_HP, seed=seed, prev=prev, dropped=dropped)
                        for (train, _), prev in zip(cv, fold_models)]
-        fold_f1 = [f1 if m._reused else _injury_f1(m, test, data.live)
+        fold_f1 = [f1 if m._reused else _fold_f1(m, test, m.feature < 0, data.live[m.feature])
                    for m, f1, (_, test) in zip(fold_models, fold_f1, cv)]
         trace[len(names)] = float(np.mean(fold_f1))
         subsets[len(names)] = names
         if len(names) == 1:
             break
-        model = _grow(data, hp=hp, seed=seed, prev=model, dropped=dropped)
+        model = _grow(data, hp=RFECV_HP, seed=seed, prev=model, dropped=dropped)
         imp = model.importances()
         # drop the least important feature; unused features rank lowest,
         # ties resolved by column order

@@ -100,16 +100,15 @@ def run_pipeline(table, seed: int = 0) -> EvalReport:
     return _evaluate(table, seed, _tree_forecast)["DT"]
 
 
-def compare_forecasters(table, seed: int = 0, n_forest_trees: int = 50) -> dict:
+def compare_forecasters(table, seed: int = 0) -> dict:
     """Evaluate DT, RF, LR, the four baselines and the combined ACWR forecasters
     under the same split/fold protocol; returns forecaster name -> EvalReport."""
     def forecast(seed, f, x_train, x_eval, fold_eval, hp):
         yield from _tree_forecast(seed, f, x_train, x_eval, fold_eval, hp)
-        forest = fit_forest(x_train, n_forest_trees, hp=hp, seed=seed)
+        forest = fit_forest(x_train, hp=hp, seed=seed)
         yield "RF", *forest.predict(x_eval.X)
         try:
-            logit = fit_logit(replace(x_train, X=standardize(x_train.X, x_train.X)),
-                              seed=seed, tol=1e-4)
+            logit = fit_logit(replace(x_train, X=standardize(x_train.X, x_train.X)), seed=seed)
         except NonConvergence:
             yield "LR", np.zeros(len(fold_eval), dtype=int), np.full(len(fold_eval), 0.5)
         else:

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import Role
-from .errors import FeatureOverflow, TooFewMinority
-from .features import TrainingTable
+from .errors import TooFewMinority
+from .features import TrainingTable, _require_finite
 
 
 # neighbours per point, both for a point's difficulty and for its partners
@@ -27,14 +27,6 @@ def standardize(X: np.ndarray, ref: np.ndarray) -> np.ndarray:
     sd = ref.std(axis=0)
     sd[sd == 0] = 1.0
     return (X - mu) / sd
-
-
-def _require_finite(M: np.ndarray, names: list[str], what: str) -> None:
-    """Raise FeatureOverflow naming the first column of M that is not finite."""
-    bad = ~np.isfinite(M).all(axis=0)
-    if bad.any():
-        raise FeatureOverflow(f"ADASYN {what} column '{names[int(np.argmax(bad))]}' "
-                              "overflows: its values are too near the float limit")
 
 
 # cells of the neighbour search's (query rows x table rows) matrix: 1 MiB of floats
@@ -131,7 +123,7 @@ def adasyn(table: TrainingTable, cfg: ResamplingConfig) -> TrainingTable:
     rng = np.random.default_rng(cfg.seed)
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         Z = standardize(table.X, table.X)
-    _require_finite(Z, table.feature_names, "standardizing")
+    _require_finite(Z, table.feature_names, "ADASYN standardizing")
     Zmin = Z[minority]
 
     # majority fraction among the k nearest neighbors in the full table
@@ -183,7 +175,7 @@ def adasyn(table: TrainingTable, cfg: ResamplingConfig) -> TrainingTable:
         new += xi
     if role_col is not None:
         new[:, role_col] = np.clip(np.rint(new[:, role_col]), 0, len(Role) - 1)
-    _require_finite(new, table.feature_names, "interpolating")
+    _require_finite(new, table.feature_names, "ADASYN interpolating")
 
     return TrainingTable(
         list(table.feature_names), X, np.concatenate([y, np.ones(n_new, dtype=int)]),

@@ -1,11 +1,16 @@
 """The benchmark reaches into the package by name; a rename or deletion that breaks
 it must fail here rather than in a benchmark run. The bench files are only read."""
 import ast
+import contextlib
 import importlib
 import inspect
+import io
+import json
 import pathlib
 
 import pytest
+
+from injurycast.cli import cli_main
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
@@ -93,3 +98,23 @@ def test_worker_imports_exist():
         module = importlib.import_module(node.module)
         for alias in node.names:
             assert hasattr(module, alias.name), f"{node.module} has no {alias.name}"
+
+
+def test_featurize_summary_has_the_keys_club_season_reads(tmp_path):
+    """club_season reads the table's size from the JSON summary that featurize
+    writes to stderr, as built["key"]."""
+    club_season = next(node for node in parse("worker.py").body
+                       if isinstance(node, ast.FunctionDef) and node.name == "club_season")
+    keys = {node.slice.value for node in ast.walk(club_season)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "built" and isinstance(node.slice, ast.Constant)}
+    assert keys >= {"n_examples", "n_injury"}
+    season = [arg for k in ("sessions", "injuries", "players")
+              for arg in (f"--{k}", str(tmp_path / f"{k}.csv"))]
+    assert cli_main(["generate", "--seed", "3", "--n-players", "3", "--weeks", "4",
+                     *season]) == 0
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert cli_main(["featurize", *season, "--out", str(tmp_path / "t.csv")]) == 0
+    built = json.loads(err.getvalue())
+    assert keys <= set(built) and built["n_examples"] > 0

@@ -58,6 +58,11 @@ PLAYERS = ",".join(PLAYERS_HEADER) + "\n"
 SESSION = "P1,2014-01-06," + ",".join(["1.0"] * 12) + ",0,0\n"
 GOOD_FILES = {"sessions.csv": SESSIONS + SESSION, "injuries.csv": INJURIES,
               "players.csv": PLAYERS + "P1,25,180,75,Winger\n"}
+# d_tot at 1.7e308 on the last day of week 1 and the first of week 2: both sit in one
+# acute and one chronic window, whose sums overflow
+NEAR_FLOAT_LIMIT = SESSIONS + SESSION + "".join(
+    SESSION.replace("2014-01-06,1.0", f"{day},1.7e308")
+    for day in ("2014-01-12", "2014-01-13"))
 SEASON = ["--sessions", "sessions.csv", "--injuries", "injuries.csv",
           "--players", "players.csv"]
 
@@ -242,6 +247,12 @@ BAD_INPUTS = {
     "absence-past-date-max-featurize": (
         ["featurize", *SEASON, "--out", "t.csv"],
         {"injuries.csv": INJURIES + "P1,9999-12-30,2\n"}, 1, "injuries.csv:2 column 'days_absent'"),
+    "near-float-limit-featurize": (["featurize", *SEASON, "--out", "t.csv"],
+                                   {"sessions.csv": NEAR_FLOAT_LIMIT},
+                                   1, "feature column 'd_tot_acwr' overflows"),
+    "near-float-limit-simulate": (["simulate", *SEASON, "--seed", "0", "--start-week", "1",
+                                   "--out", "o.csv"], {"sessions.csv": NEAR_FLOAT_LIMIT},
+                                  1, "feature column 'd_tot_acwr' overflows"),
     "absence-past-date-max-simulate": (
         ["simulate", *SEASON, "--seed", "0", "--out", "o.csv"],
         {"injuries.csv": INJURIES + "P1,2014-01-07,999999999\n"},
@@ -259,6 +270,7 @@ def in_dir(root, argv, files=None):
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy warning line either
 def test_bad_value_is_one_line_error(tmp_path, capsys, case):
     argv, files, code, fragment = BAD_INPUTS[case]
     assert run(*in_dir(tmp_path, argv, files)) == code

@@ -15,8 +15,7 @@ from injurycast.learners import (
     FeatureSubset,
     LinearModel,
     _cv_folds,
-    _f1,
-    _injury_f1,
+    _fold_f1,
     default_grid,
     fit_forest,
     fit_logit,
@@ -27,7 +26,7 @@ from injurycast.learners import (
 )
 from injurycast.metrics import stratified_kfold
 from injurycast.resampling import ResamplingConfig, adasyn, standardize
-from injurycast.tree import TreeHyperParams, _grow
+from injurycast.tree import Presorted, TreeHyperParams, _grow
 
 from conftest import planted_table, rand_table
 
@@ -35,6 +34,11 @@ from conftest import planted_table, rand_table
 def table_from(X, y, names=None):
     names = names or [f"f{i}" for i in range(X.shape[1])]
     return TrainingTable(list(names), X, y, [""] * len(y), [None] * len(y))
+
+
+def leaf_f1(model, test):
+    """Injury F1 of model's own predictions on the test table."""
+    return _fold_f1(model, test, model.feature < 0)
 
 
 def reference_rfecv(table, hp=TreeHyperParams(max_depth=5), folds=3, seed=0):
@@ -48,7 +52,7 @@ def reference_rfecv(table, hp=TreeHyperParams(max_depth=5), folds=3, seed=0):
     subsets = {}
     while True:
         trace[len(current)] = float(np.mean([
-            _injury_f1(fit_tree(train, hp=hp, seed=seed), test) for train, test in cv]))
+            leaf_f1(fit_tree(train, hp=hp, seed=seed), test) for train, test in cv]))
         subsets[len(current)] = list(current)
         if len(current) == 1:
             break
@@ -66,8 +70,8 @@ def reference_rfecv(table, hp=TreeHyperParams(max_depth=5), folds=3, seed=0):
 def reference_fold_f1(table, grid, folds=2, seed=0):
     """Each grid point's injury F1 on each of tune's folds, from a tree grown for
     that point alone."""
-    cv = _cv_folds(table, folds, seed)
-    return [[_injury_f1(_grow(train, hp, seed), test) for train, test in cv]
+    cv = _cv_folds(table, folds, seed, Presorted(table))
+    return [[leaf_f1(_grow(train, hp, seed), test) for train, test in cv]
             for hp in grid]
 
 
@@ -117,13 +121,13 @@ class TestTune:
     def test_singleton_grid_is_returned(self):
         t = rand_table(n=40, p=3, n_pos=14, seed=0)
         only = TreeHyperParams(max_depth=4, min_samples_leaf=2)
-        assert tune(t, [only], folds=2, seed=0) == only
+        assert tune(t, [only], seed=0) == only
 
     def test_prefers_config_that_separates(self):
         # an AND of two features needs depth 2; depth 1 cannot reach F1 = 1
         t = planted_table(n=240, seed=1, noise_features=0)
         grid = [TreeHyperParams(max_depth=1), TreeHyperParams(max_depth=2)]
-        assert tune(t, grid, folds=2, seed=0).max_depth == 2
+        assert tune(t, grid, seed=0).max_depth == 2
 
     def test_tie_break_prefers_shallower(self):
         # a wide margin makes every depth score a perfect CV F1, forcing a tie
@@ -133,22 +137,21 @@ class TestTune:
         y = np.array([0] * 150 + [1] * 50)
         t = table_from(X, y, ["sig_a", "sig_b"])
         grid = [TreeHyperParams(max_depth=6), TreeHyperParams(max_depth=2)]
-        assert tune(t, grid, folds=2, seed=0).max_depth == 2
+        assert tune(t, grid, seed=0).max_depth == 2
 
     def test_deterministic(self):
         t = rand_table(n=60, p=4, n_pos=20, seed=3)
-        assert tune(t, folds=2, seed=5) == tune(t, folds=2, seed=5)
+        assert tune(t, seed=5) == tune(t, seed=5)
 
 
 class TestTuneByTruncation:
     def test_every_fold_f1_equals_a_fresh_fit(self, balanced_default_season):
         table, seed, fold_f1 = balanced_default_season
-        cv = _cv_folds(table, 2, seed)
+        cv = _cv_folds(table, 2, seed, Presorted(table))
         deepest = {leaf: [_grow(train, TreeHyperParams(None, leaf, 2), seed)
                           for train, _ in cv] for leaf in (1, 2, 3, 5, 10)}
         for hp, want in zip(default_grid() + MIXED_GRID, fold_f1):
-            got = [_f1(test.y, model._predict(
-                       test.X, model._cut(hp.max_depth, hp.min_samples_split))[0])
+            got = [_fold_f1(model, test, model._cut(hp.max_depth, hp.min_samples_split))
                    for model, (_, test) in zip(deepest[hp.min_samples_leaf], cv)]
             assert got == want, hp
 
@@ -185,26 +188,26 @@ class TestTuneByTruncation:
 class TestRfecv:
     def test_recovers_informative_features(self):
         t = planted_table(n=300, seed=4, noise_features=6)
-        subset = rfecv(t, folds=3, seed=0)
+        subset = rfecv(t, seed=0)
         assert set(subset.names) == {"sig_a", "sig_b"}
 
     def test_score_trace_covers_all_sizes(self):
         t = planted_table(n=200, seed=5, noise_features=3)
-        subset = rfecv(t, folds=3, seed=0)
+        subset = rfecv(t, seed=0)
         assert sorted(subset.score_trace) == [1, 2, 3, 4, 5]
         best = max(subset.score_trace.values())
         assert subset.score_trace[len(subset.names)] == best
 
     def test_smallest_subset_wins_ties(self):
         t = planted_table(n=300, seed=6, noise_features=4)
-        subset = rfecv(t, folds=3, seed=0)
+        subset = rfecv(t, seed=0)
         tied = [s for s, v in subset.score_trace.items()
                 if v == max(subset.score_trace.values())]
         assert len(subset.names) == min(tied)
 
     def test_deterministic(self):
         t = planted_table(n=200, seed=7)
-        assert rfecv(t, folds=3, seed=2).names == rfecv(t, folds=3, seed=2).names
+        assert rfecv(t, seed=2).names == rfecv(t, seed=2).names
 
 
 def test_skipped_refit_searches_and_routes_nothing(monkeypatch):
@@ -216,7 +219,7 @@ def test_skipped_refit_searches_and_routes_nothing(monkeypatch):
     y = (x + rng.normal(scale=0.5, size=120) > 0).astype(int)
     table = table_from(np.column_stack([np.zeros(120), x]), y, ["flat", "x"])
     hp = TreeHyperParams(max_depth=3)
-    want = reference_rfecv(table, hp=hp, folds=3, seed=0)
+    want = reference_rfecv(table, hp=hp, seed=0)
     calls = []
     real_grow, real_split = learners._grow, tree._best_split
     real_apply = tree.DecisionTreeModel._apply
@@ -248,7 +251,8 @@ def test_skipped_refit_searches_and_routes_nothing(monkeypatch):
     monkeypatch.setattr(np, "delete", delete)
     monkeypatch.setattr(tree, "_best_split", split)
     monkeypatch.setattr(tree.DecisionTreeModel, "_apply", apply)
-    got = rfecv(table, hp=hp, folds=3, seed=0)
+    monkeypatch.setattr(learners, "RFECV_HP", hp)
+    got = rfecv(table, seed=0)
     assert (got.names, got.score_trace) == (want.names, want.score_trace)
     # size 2: three fold fits, their three test folds and the importance fit;
     # size 1: three refits that neither search nor route
@@ -259,27 +263,31 @@ def test_skipped_refit_searches_and_routes_nothing(monkeypatch):
 
 
 class TestRfecvMatchesReference:
-    def _assert_same(self, table, **kwargs):
-        got, want = rfecv(table, **kwargs), reference_rfecv(table, **kwargs)
+    def _assert_same(self, monkeypatch, table, **kwargs):
+        if "hp" in kwargs:
+            monkeypatch.setattr(learners, "RFECV_HP", kwargs["hp"])
+        got, want = rfecv(table, seed=kwargs["seed"]), reference_rfecv(table, **kwargs)
         assert got.names == want.names
         assert got.score_trace == want.score_trace
 
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_balanced_season(self, small_table, seed):
-        self._assert_same(adasyn(small_table, ResamplingConfig(seed=seed)), seed=seed)
+    def test_balanced_season(self, monkeypatch, small_table, seed):
+        self._assert_same(monkeypatch, adasyn(small_table, ResamplingConfig(seed=seed)),
+                          seed=seed)
 
     @pytest.mark.parametrize("hp", [TreeHyperParams(), TreeHyperParams(max_depth=2)])
-    def test_planted_and_random_tables(self, hp):
-        self._assert_same(planted_table(n=200, seed=8, noise_features=6), hp=hp, seed=1)
-        self._assert_same(rand_table(n=90, p=8, n_pos=35, seed=9), hp=hp, seed=4)
+    def test_planted_and_random_tables(self, monkeypatch, hp):
+        self._assert_same(monkeypatch, planted_table(n=200, seed=8, noise_features=6),
+                          hp=hp, seed=1)
+        self._assert_same(monkeypatch, rand_table(n=90, p=8, n_pos=35, seed=9), hp=hp, seed=4)
 
-    def test_tie_heavy_table_with_duplicate_rows(self):
+    def test_tie_heavy_table_with_duplicate_rows(self, monkeypatch):
         rng = np.random.default_rng(12)
         X = rng.integers(0, 3, size=(60, 7)).astype(float)
         X[:, 3] = X[:, 0]
         X[30:] = X[:30]
         y = rng.integers(0, 2, size=60)
-        self._assert_same(table_from(X, y), hp=TreeHyperParams(), seed=2)
+        self._assert_same(monkeypatch, table_from(X, y), hp=TreeHyperParams(), seed=2)
 
 
 class TestLogit:
@@ -324,25 +332,29 @@ class TestLogit:
         assert score[y == 1].min() > score[y == 0].max()
 
     def test_zero_model_scores_half(self):
-        model = LinearModel(np.zeros(3), 0.0, ["a", "b", "c"])
+        model = LinearModel(np.zeros(3), 0.0)
         pred, score = model.predict(np.random.default_rng(0).normal(size=(5, 3)))
         np.testing.assert_allclose(score, 0.5)
         np.testing.assert_array_equal(pred, 1)  # >= 0.5 rounds toward injury
 
-    def test_non_convergence_raises(self):
+    def test_non_convergence_raises(self, monkeypatch):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(60, 3))
         y = rng.integers(0, 2, size=60)
+        monkeypatch.setattr(learners, "LOGIT_MAX_ITER", 1)
+        monkeypatch.setattr(learners, "LOGIT_TOL", 1e-14)
         with pytest.raises(NonConvergence) as exc:
-            fit_logit(table_from(X, y), max_iter=1, tol=1e-14, seed=0)
+            fit_logit(table_from(X, y), seed=0)
         assert exc.value.iterations == 1
 
-    def test_l2_shrinks_weights(self):
+    def test_l2_shrinks_weights(self, monkeypatch):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(80, 3))
         y = (X[:, 0] > 0).astype(int)
-        light = fit_logit(table_from(X, y), l2=1e-4, seed=0)
-        heavy = fit_logit(table_from(X, y), l2=10.0, seed=0)
+        monkeypatch.setattr(learners, "LOGIT_L2", 1e-4)
+        light = fit_logit(table_from(X, y), seed=0)
+        monkeypatch.setattr(learners, "LOGIT_L2", 10.0)
+        heavy = fit_logit(table_from(X, y), seed=0)
         assert np.linalg.norm(heavy.weights) < np.linalg.norm(light.weights)
 
     def test_fit_and_scores_do_not_depend_on_the_blas_thread_count(self, tmp_path):
@@ -359,7 +371,7 @@ class TestLogit:
                  "X, y = np.load(sys.argv[1] + '/X.npy'), np.load(sys.argv[1] + '/y.npy')\n"
                  "t = TrainingTable([str(j) for j in range(X.shape[1])], X, y,"
                  " [''] * len(y), [None] * len(y))\n"
-                 "m = fit_logit(t, tol=1e-4)\n"
+                 "m = fit_logit(t)\n"
                  "print(m.weights.tobytes().hex(), m.bias.hex(), m.predict(X)[1].tobytes().hex())\n")
         src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
         out = []
@@ -374,24 +386,27 @@ class TestLogit:
 
 
 class TestForest:
-    def test_scores_are_tree_averages(self):
+    def test_scores_are_tree_averages(self, monkeypatch):
         t = planted_table(n=150, seed=9)
-        forest = fit_forest(t, n_trees=7, hp=TreeHyperParams(max_depth=3), seed=1)
+        monkeypatch.setattr(learners, "FOREST_TREES", 7)
+        forest = fit_forest(t, hp=TreeHyperParams(max_depth=3), seed=1)
         grid = np.random.default_rng(1).uniform(size=(50, t.X.shape[1]))
         pred, score = forest.predict(grid)
         per_tree = np.stack([m.predict(grid)[1] for m in forest.trees])
         np.testing.assert_allclose(score, per_tree.mean(axis=0))
         np.testing.assert_array_equal(pred, (score >= 0.5).astype(int))
 
-    def test_learns_planted_signal(self):
+    def test_learns_planted_signal(self, monkeypatch):
         t = planted_table(n=300, seed=10)
-        forest = fit_forest(t, n_trees=25, hp=TreeHyperParams(max_depth=4), seed=2)
+        monkeypatch.setattr(learners, "FOREST_TREES", 25)
+        forest = fit_forest(t, hp=TreeHyperParams(max_depth=4), seed=2)
         pred, _ = forest.predict(t.X)
         assert np.mean(pred == t.y) > 0.95
 
-    def test_deterministic(self):
+    def test_deterministic(self, monkeypatch):
         t = planted_table(n=120, seed=11)
-        a = fit_forest(t, n_trees=5, hp=TreeHyperParams(max_depth=3), seed=3)
-        b = fit_forest(t, n_trees=5, hp=TreeHyperParams(max_depth=3), seed=3)
+        monkeypatch.setattr(learners, "FOREST_TREES", 5)
+        a = fit_forest(t, hp=TreeHyperParams(max_depth=3), seed=3)
+        b = fit_forest(t, hp=TreeHyperParams(max_depth=3), seed=3)
         grid = np.random.default_rng(2).uniform(size=(40, t.X.shape[1]))
         np.testing.assert_array_equal(a.predict(grid)[1], b.predict(grid)[1])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from injurycast import pipeline
+from injurycast import learners, pipeline
 from injurycast.data_model import assign_labels
 from injurycast.errors import NonConvergence, SyntheticEvaluation
 from injurycast.features import build_training_table
@@ -81,7 +81,9 @@ class TestRunPipeline:
 
 @pytest.fixture(scope="module")
 def reports(small_table):
-    return compare_forecasters(small_table, seed=0, n_forest_trees=10)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learners, "FOREST_TREES", 10)
+        return compare_forecasters(small_table, seed=0)
 
 
 class TestCompare:
@@ -110,7 +112,8 @@ class TestCompare:
             raise NonConvergence(1, 1.0)
 
         monkeypatch.setattr(pipeline, "fit_logit", fit_logit)
-        patched = compare_forecasters(small_table, seed=0, n_forest_trees=10)
+        monkeypatch.setattr(learners, "FOREST_TREES", 10)
+        patched = compare_forecasters(small_table, seed=0)
         lr = patched.pop("LR")
         assert lr.per_class["injury"] == {"precision": 0.0, "recall": 0.0, "f1": 0.0}
         assert lr.auc == 0.5
