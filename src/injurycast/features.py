@@ -230,10 +230,14 @@ def _acwr_rows(W, days, as_of) -> np.ndarray:
     chronic = _means(W, lo, hi)
     # the acute window ends where the chronic one does; empty, it counts as zero load
     acute = _means(W, days.searchsorted(as_of - (ACWR_ACUTE_DAYS - 1)), hi)
+    # a window whose sum overflows has no finite mean, and its ratio is NaN
+    overflow = ~(np.isfinite(chronic) & np.isfinite(acute))
     ratio = np.where(acute > 0.0, ACWR_CAP, 0.0)
     pos = chronic > 0.0
     np.divide(acute, chronic, out=acute, where=pos)
-    return np.minimum(acute, ACWR_CAP, out=ratio, where=pos)
+    np.minimum(acute, ACWR_CAP, out=ratio, where=pos)
+    ratio[overflow] = np.nan
+    return ratio
 
 
 def _mswr_rows(W, days, as_of) -> np.ndarray:
@@ -243,8 +247,10 @@ def _mswr_rows(W, days, as_of) -> np.ndarray:
         if V.shape[-1] > 1:
             # V.mean(axis=-1) and V.std(axis=-1, ddof=1) as numpy computes them, sharing the mean
             mean = V.sum(axis=-1, keepdims=True) / V.shape[-1]
-            std = np.sqrt(np.square(V - mean).sum(axis=-1) / (V.shape[-1] - 1))
-            # a near-zero std gives the cap, a NaN std NaN
+            squares = np.square(V - mean).sum(axis=-1)
+            # squared deviations whose sum overflows (as they do where the mean
+            # does) give a NaN std; a near-zero std gives the cap, a NaN std NaN
+            std = np.sqrt(np.where(np.isfinite(squares), squares, np.nan) / (V.shape[-1] - 1))
             ratio[:, at] = np.where(std < 1e-9, MSWR_CAP,
                                     np.minimum(mean[..., 0] / np.maximum(std, 1e-9), MSWR_CAP))
     return ratio
@@ -265,6 +271,8 @@ def _week_monotony(values) -> float:
     total = 0.0
     for v in values:
         total += (v - mean) * (v - mean)
+    if not math.isfinite(total):
+        return math.nan
     std = math.sqrt(total / (n - 1))
     return MSWR_CAP if std < 1e-9 else min(mean / max(std, 1e-9), MSWR_CAP)
 

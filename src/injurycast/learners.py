@@ -116,9 +116,14 @@ def _cv_folds(table, folds, seed, data):
     """Seeded stratified k-fold of `table` as (train, test) pairs: the training
     rows presorted (tree.Presorted) and the test rows a table. Each training side
     is taken from `data`, the whole table presorted, so one sort serves every
-    fold and every fit of a search."""
-    return [(data.take(train_idx), table.take(test_idx))
-            for train_idx, test_idx in stratified_kfold(table.y, folds, seed)]
+    fold and every fit of a search. A fold with no training rows, which a
+    table of at most one row per class leaves, raises EmptyTable."""
+    cv = stratified_kfold(table.y, folds, seed)
+    for k, (train_idx, _) in enumerate(cv):
+        if len(train_idx) == 0:
+            raise EmptyTable(f"{folds}-fold CV of {len(table)} rows leaves fold {k} "
+                             "with no training rows")
+    return [(data.take(train_idx), table.take(test_idx)) for train_idx, test_idx in cv]
 
 
 def _fold_f1(model, test, stop, feature=None):

@@ -110,13 +110,15 @@ def stratified_split(y, fraction: float, seed: int):
 
 
 def stratified_kfold(y, folds: int, seed: int):
-    """Seeded stratified k-fold; yields (train_idx, test_idx) pairs."""
+    """Seeded stratified k-fold of the 0/1 labels y; yields (train_idx, test_idx)
+    pairs."""
     y = np.asarray(y, dtype=int)
     if folds < 2:
         raise ValueError("folds must be >= 2")
     rng = np.random.default_rng(seed)
     assignments = np.empty(len(y), dtype=int)
-    for cls in np.unique(y):
+    # the classes present, ascending; np.unique of integers would import numpy.ma
+    for cls in np.flatnonzero(np.bincount(y)):
         idx = rng.permutation(np.flatnonzero(y == cls))
         assignments[idx] = np.arange(len(idx)) % folds
     splits = []

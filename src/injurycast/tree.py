@@ -212,21 +212,22 @@ def _json_array(values, dtype, what):
     raise ConfigInvalid(f"model {what}: need {kind}")
 
 
-# a (P, n) matrix of fewer cells than this keeps its sorted row indices in int32
+# a (n, P) table of fewer cells than this keeps its sorted row indices in int32
 _INT32_CELLS = 1 << 31
 
 
 class Presorted:
-    """A training set as the tree grows from it: the columns as a C-ordered (P, n)
-    matrix `cols`, each column's row indices in ascending order, ties in row order
-    (`rows`, SLIQ's presorted attribute lists), the labels `y`, and `live`, the
-    indices into cols and rows of the p columns the set holds, named
-    `feature_names`. Sorted once; every fit on these rows shares it and none
-    changes it.
+    """A training set as the tree grows from it: the table `X`, a C-ordered (n, P)
+    float array, each column's row indices in ascending order of its values, ties
+    in row order, as a (P, n) array (`rows`, SLIQ's presorted attribute lists),
+    the labels `y`, and `live`, the indices into X's columns and rows of the p
+    columns the set holds, named `feature_names`. Sorted once; every fit on these
+    rows shares it and none changes it. A float C-ordered table's array is held,
+    not copied, so the table must not change while a fit reads it.
 
-    The row indices are int32 while cols has fewer than _INT32_CELLS cells and
-    intp past that: the same values in half the bytes, so no split, count or
-    minimum changes. A set taken from this one keeps its width.
+    The row indices are int32 while X has fewer than _INT32_CELLS cells and intp
+    past that: the same values in half the bytes, so no split, count or minimum
+    changes. A set taken from this one keeps its width.
     """
 
     def __init__(self, table_or_X, y=None, feature_names=None):
@@ -242,18 +243,18 @@ class Presorted:
             raise EmptyTable("cannot fit a tree on an empty table")
         if X.shape[1] == 0:
             raise EmptyTable("cannot fit a tree with no features")
-        self.cols = np.ascontiguousarray(X.T)
-        width = np.int32 if self.cols.size < _INT32_CELLS else np.intp
-        self.rows = np.empty(self.cols.shape, dtype=width)
-        for f, col in enumerate(self.cols):  # one column's intp sort at a time
-            self.rows[f] = np.argsort(col, kind="stable")
+        self.X = np.ascontiguousarray(X, dtype=float)
+        width = np.int32 if self.X.size < _INT32_CELLS else np.intp
+        self.rows = np.empty(self.X.shape[::-1], dtype=width)
+        for f in range(len(self.rows)):  # one column's intp sort at a time
+            self.rows[f] = np.argsort(self.X[:, f], kind="stable")
         self.y = y
-        self.live = np.arange(len(self.cols))
+        self.live = np.arange(len(self.rows))
         self.feature_names = list(feature_names)
 
     def drop(self, j) -> "Presorted":
         """The same rows without live column j, sorted as before: the next size of
-        a recursive feature elimination. It shares cols and rows with this set."""
+        a recursive feature elimination. It shares X and rows with this set."""
         out = copy.copy(self)
         out.live = np.concatenate((self.live[:j], self.live[j + 1:]))
         out.feature_names = self.feature_names[:j] + self.feature_names[j + 1:]
@@ -267,15 +268,16 @@ class Presorted:
         keep[idx] = True
         renumber = np.cumsum(keep, dtype=self.rows.dtype) - 1
         out = copy.copy(self)
-        out.cols = np.ascontiguousarray(self.cols[:, idx])
+        out.X = self.X[idx]
         out.rows = renumber.take(self.rows[keep.take(self.rows)]).reshape(len(self.rows), -1)
         out.y = self.y[idx]
         return out
 
 
-# values per buffer row that a node search gathers at once (1 MiB per float
-# row); a block changes no split, since each candidate's minimum is its own row's
-_BLOCK = 1 << 17
+# values per buffer row that a node search gathers at once, and cells per block
+# that _split_rows filters at once (256 KiB per float row); a block changes no
+# split, since each candidate's minimum is its own row's
+_BLOCK = 1 << 15
 
 
 def _shaped(buf, shape):
@@ -308,7 +310,9 @@ def _best_split(sv, sy, min_leaf, scratch):
 
     Every (candidates × rows) intermediate is written into `scratch`, three
     float and one bool flat buffer of at least sv.size values each, allocated
-    once per fit (_grow) and overwritten here; sv and sy are left as they are.
+    once per fit (_grow) and overwritten here; sv and sy are left as they are,
+    unless the first buffer holds sy itself: the label sums then replace the
+    float labels in place.
     """
     c, n = sv.shape
     lo, hi = min_leaf - 1, n - min_leaf  # left child of i + 1 rows, i in [lo, hi)
@@ -343,6 +347,25 @@ def _best_split(sv, sy, min_leaf, scratch):
     i = int(np.argmin(weighted[j]))
     threshold = 0.5 * (sv[j, lo + i] + sv[j, lo + i + 1])
     return j, float(threshold), float(best), row_min
+
+
+def _split_rows(rows, mask, sizes):
+    """A node's sorted rows, the (p, m) array rows, filtered by the row mask: each
+    column's rows where mask holds, in their order, as a new (p, sizes[0]) array of
+    rows' dtype, and, given a second size, those where it does not as a second.
+    A block of at most _BLOCK cells is filtered at a time, so the mask and the intp
+    indices that take and compress make for it stay that small."""
+    p, m = rows.shape
+    out = [np.empty((p, size), dtype=rows.dtype) for size in sizes]
+    step = max(1, _BLOCK // m)
+    for start in range(0, p, step):
+        part = rows[start:start + step]
+        keep = mask.take(part)
+        for side, child in enumerate(out):
+            if side:
+                np.logical_not(keep, out=keep)
+            np.compress(keep.ravel(), part, out=child[start:start + step].reshape(-1))
+    return out
 
 
 def fit_tree(table_or_X, y=None, feature_names=None,
@@ -403,15 +426,19 @@ def _grow(data: Presorted, hp: TreeHyperParams = TreeHyperParams(), seed: int = 
     A narrowed data (Presorted.drop) is read through its live columns: a fit
     gathers their sorted rows once, when a node first searches them, and a
     node under a changed one filters them by its mask, so no kept node copies
-    a (columns × rows) array. A node searches its candidates in blocks of at
-    most _BLOCK values per buffer row, or one candidate's rows if more, all
-    written into one set of buffers allocated per call, so a fit's buffers
-    stay bounded however many columns the table has.
+    a (columns × rows) array. Values are read from the table X in place, at
+    row * P + column of its flat array. A node searches its candidates in
+    blocks of at most _BLOCK values per buffer row, or one candidate's rows if
+    more, all written into one set of buffers allocated per call, and hands
+    its children its sorted rows filtered in blocks of at most _BLOCK cells
+    (_split_rows), so a fit's temporaries stay bounded however many columns
+    the table has.
     """
     if prev is not None and max_features is not None:
         raise ValueError("a refit from a previous tree cannot subsample features")
-    cols, y, live = data.cols, data.y, data.live
-    p, n_total = len(live), cols.shape[1]
+    X, y, live = data.X, data.y, data.live
+    p, (n_total, width) = len(live), X.shape
+    labels = y.astype(float)  # gathered into the buffer row where their sums land
 
     rng = np.random.default_rng(seed)
     feature_order = rng.permutation(p)
@@ -430,13 +457,12 @@ def _grow(data: Presorted, hp: TreeHyperParams = TreeHyperParams(), seed: int = 
             model._reused = True
             return model
         # a kept node's winner is its own column, so prev routes as it did
-        reached = prev._apply(cols.T, (prev.feature < 0) | changed, live[winner])
+        reached = prev._apply(X, (prev.feature < 0) | changed, live[winner])
 
     model = DecisionTreeModel(data.feature_names, hp)
     raw_importance = np.zeros(p)
     memo = {}  # split node -> its row of model._minima
     goes_left = np.zeros(n_total, dtype=bool)  # reused: a split reads only its own rows
-    offsets = live[:, None] * n_total  # rows[f] + offsets[f] index cols.ravel()
     all_rows = data.rows if p == len(data.rows) else None  # live rows, gathered on use
     # the most rows a search reads: a refit searches only at and under changed nodes
     n_max = n_total if prev is None else prev.counts[changed].sum(axis=1).max()
@@ -444,14 +470,15 @@ def _grow(data: Presorted, hp: TreeHyperParams = TreeHyperParams(), seed: int = 
     size = min(n_cand * n_max, max(_BLOCK, n_max))
     # every (candidates × rows) array of a search block, in one buffer that nodes
     # reuse (and the allocator keeps for the next fit): each block's sorted rows,
-    # labels and values, and _best_split's scratch; the row indices are dead
-    # once the labels and values are taken, so the scratch reuses their row.
-    # The rows are gathered at their width into the labels' row and widened to
-    # intp once: take would widen int32 indices into a new array at each call.
-    block = np.empty((5, size))
-    gathered, sy_buf, sv_buf = block[0].view(np.intp), block[1].view(y.dtype), block[2]
+    # float labels and values, and _best_split's scratch. The label sums replace
+    # the labels in their row, and the row indices, dead once the labels and
+    # values are taken, hold the right child's sums. The rows are gathered at
+    # their width into the labels' row and widened to intp once: take would
+    # widen int32 indices into a new array at each call.
+    block = np.empty((4, size))
+    gathered, sy_buf, sv_buf = block[0].view(np.intp), block[1], block[2]
     narrow = block[1].view(data.rows.dtype)
-    scratch = (block[0], *block[3:], np.empty(size, dtype=bool))
+    scratch = (block[1], block[0], block[3], np.empty(size, dtype=bool))
     # (the node's sorted rows, or None; else a mask of its rows, or None; depth,
     # parent, parent's link, prev's node with these rows or -1). A new node has
     # sorted rows or a mask; a kept one neither.
@@ -494,8 +521,7 @@ def _grow(data: Presorted, hp: TreeHyperParams = TreeHyperParams(), seed: int = 
             if rows is None:  # the root, or a new node under a changed one
                 if all_rows is None:
                     all_rows = data.rows[live]
-                rows = (all_rows if n == n_total else
-                        np.compress(member.take(all_rows).ravel(), all_rows).reshape(p, -1))
+                rows = all_rows if n == n_total else _split_rows(all_rows, member, (n,))[0]
                 member = None
             cand = feature_order
             if max_features is not None and max_features < p:
@@ -512,9 +538,10 @@ def _grow(data: Presorted, hp: TreeHyperParams = TreeHyperParams(), seed: int = 
                 index = _shaped(gathered, shape)
                 np.copyto(index, np.take(rows, part, axis=0, out=_shaped(narrow, shape),
                                          mode="clip"))
-                sy = np.take(y, index, out=_shaped(sy_buf, shape), mode="clip")
-                np.add(index, offsets[part], out=index)
-                sv = np.take(cols, index, out=_shaped(sv_buf, shape), mode="clip")
+                sy = np.take(labels, index, out=_shaped(sy_buf, shape), mode="clip")
+                np.multiply(index, width, out=index)  # row * width + column in X.ravel()
+                np.add(index, live[part, None], out=index)
+                sv = np.take(X, index, out=_shaped(sv_buf, shape), mode="clip")
                 split = _best_split(sv, sy, hp.min_samples_leaf, scratch)
                 if split is None:
                     continue
@@ -523,6 +550,7 @@ def _grow(data: Presorted, hp: TreeHyperParams = TreeHyperParams(), seed: int = 
                     best_feat, best_thr, best_child_imp = int(part[j]), thr, child_imp
                     # taken now: the next block overwrites sv
                     goes_left[rows[best_feat]] = sv[j] <= thr
+                    n_left = np.searchsorted(sv[j], thr, "right")  # sv[j] ascends
             if best_child_imp == np.inf:
                 continue
             memo_row = row_min[rank] if max_features is None else None
@@ -532,10 +560,10 @@ def _grow(data: Presorted, hp: TreeHyperParams = TreeHyperParams(), seed: int = 
             continue
         if best_thr is None:  # a changed node: search its winner alone
             member = reached == old
-            column = cols[live[best_feat]]
+            column = X[:, live[best_feat]]
             win_rows = data.rows[live[best_feat]]
             win_rows = win_rows[member.take(win_rows)]
-            best_thr = _best_split(column.take(win_rows)[None], y.take(win_rows)[None],
+            best_thr = _best_split(column.take(win_rows)[None], labels.take(win_rows)[None],
                                    hp.min_samples_leaf, scratch)[1]
             left = column <= best_thr
 
@@ -544,17 +572,16 @@ def _grow(data: Presorted, hp: TreeHyperParams = TreeHyperParams(), seed: int = 
         if memo_row is not None:
             memo[node_id] = memo_row
         raw_importance[best_feat] += (n / n_total) * decrease
+        child_rows = child_member = (None, None)
         if rows is not None:
-            left = goes_left.take(rows).ravel()
+            child_rows = _split_rows(rows, goes_left, (n_left, n - n_left))
+        elif member is not None:
+            child_member = (member & left, member & ~left)
         # right is pushed first so the left subtree is grown first: preorder ids
-        for child, child_link, go_left in ((children[1], model.right, False),
-                                           (children[0], model.left, True)):
-            child_rows = child_member = None
-            if rows is not None:
-                child_rows = np.compress(left == go_left, rows).reshape(p, -1)
-            elif member is not None:
-                child_member = member & (left == go_left)
-            stack.append((child_rows, child_member, depth + 1, node_id, child_link, child))
+        for side, child, child_link in ((1, children[1], model.right),
+                                        (0, children[0], model.left)):
+            stack.append((child_rows[side], child_member[side], depth + 1, node_id,
+                          child_link, child))
 
     model._finalize()
     model._raw_importance = raw_importance

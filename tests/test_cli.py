@@ -63,6 +63,12 @@ GOOD_FILES = {"sessions.csv": SESSIONS + SESSION, "injuries.csv": INJURIES,
 NEAR_FLOAT_LIMIT = SESSIONS + SESSION + "".join(
     SESSION.replace("2014-01-06,1.0", f"{day},1.7e308")
     for day in ("2014-01-12", "2014-01-13"))
+# d_tot at 1.7e308 nine days apart: only the chronic window's sum overflows, and the
+# second session's ratio must not come out finite (1.7e308 / inf is 0.0)
+CHRONIC_OVERFLOW = SESSIONS + "".join(
+    SESSION.replace("2014-01-06,1.0", f"{day},{load}")
+    for day, load in (("2014-01-01", "1.7e308"), ("2014-01-10", "1.7e308"),
+                      ("2014-01-20", "1.0")))
 SEASON = ["--sessions", "sessions.csv", "--injuries", "injuries.csv",
           "--players", "players.csv"]
 
@@ -227,6 +233,13 @@ BAD_INPUTS = {
     "table-label-negative-train": (["train", "--table", "t.csv", "--seed", "0",
                                     "--out", "m.json"], {"t.csv": "x,label\n1.0,-1\n"},
                                    1, "t.csv:2 column 'label'"),
+    # two rows per class: the 30 % tuning part keeps one of each, so the first fold
+    # of RFECV's split holds every row and leaves none to train on
+    **{f"table-two-rows-per-class-{command}": (
+        [command, "--table", "t.csv", "--seed", "0", "--out", "o"],
+        {"t.csv": "x,z,label\n0.0,1.0,1\n1.0,0.0,0\n2.0,3.0,1\n3.0,2.0,0\n"},
+        1, "3-fold CV of 2 rows leaves fold 0 with no training rows")
+       for command in ("train", "compare")},
     "players-quoted-id-over-two-lines": (
         ["ingest", *SEASON],
         {"players.csv": PLAYERS + '"P\n1",25,180,75,Winger\nP2,0,180,75,Winger\n'},
@@ -249,6 +262,9 @@ BAD_INPUTS = {
         {"injuries.csv": INJURIES + "P1,9999-12-30,2\n"}, 1, "injuries.csv:2 column 'days_absent'"),
     "near-float-limit-featurize": (["featurize", *SEASON, "--out", "t.csv"],
                                    {"sessions.csv": NEAR_FLOAT_LIMIT},
+                                   1, "feature column 'd_tot_acwr' overflows"),
+    "chronic-overflow-featurize": (["featurize", *SEASON, "--out", "t.csv"],
+                                   {"sessions.csv": CHRONIC_OVERFLOW},
                                    1, "feature column 'd_tot_acwr' overflows"),
     "near-float-limit-simulate": (["simulate", *SEASON, "--seed", "0", "--start-week", "1",
                                    "--out", "o.csv"], {"sessions.csv": NEAR_FLOAT_LIMIT},
@@ -333,6 +349,32 @@ def test_file_that_is_not_utf8_is_one_line_error(tmp_path, capsys, argv, name, d
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "utf-8" in err and str(tmp_path / name) in err
+
+
+def test_a_train_run_does_not_import_numpy_ma(tmp_path, season_files):
+    """numpy 2.4's np.unique of integers imports numpy.ma, over 1 MB of memory, and no
+    step of training needs it; skipped where numpy itself imports numpy.ma."""
+    table, model = str(tmp_path / "table.csv"), str(tmp_path / "model.json")
+    assert run("featurize", "--sessions", season_files["sessions"],
+               "--injuries", season_files["injuries"], "--players", season_files["players"],
+               "--out", table) == 0
+    script = ("import sys, numpy\n"
+              "if 'numpy.ma' in sys.modules:\n"
+              "    sys.exit(print('loaded with numpy'))\n"
+              "from injurycast.cli import cli_main\n"
+              "assert cli_main(sys.argv[1:]) == 0\n"
+              "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(pathlib.Path(__file__).resolve().parent.parent / "src"),
+         os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script, "train", "--table", table,
+                           "--seed", "0", "--out", model],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    last = done.stdout.splitlines()[-1]  # after train's report
+    if last == "loaded with numpy":
+        pytest.skip("numpy imports numpy.ma when it is imported")
+    assert last == "False"
 
 
 def test_artifacts_are_utf8_under_an_ascii_locale(tmp_path, season_files):

@@ -294,6 +294,17 @@ class TestWindows:
         dates = [day(0), day(1)]
         assert mswr(dates, [100.0, 100.0001], day(1)) == MSWR_CAP
 
+    def test_a_window_sum_that_overflows_gives_nan(self):
+        # a finite value would be a wrong one (x / inf gives 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the squared deviations overflow from about 1e154
+            assert np.isnan(mswr([day(0), day(1)], [1e200, 1.0], day(1)))
+            # the chronic sum overflows; the acute window holds the second alone
+            assert np.isnan(acwr([day(0), day(9)], [1.7e308, 1.7e308], day(9)))
+            assert np.isnan(acwr([day(0), day(1)], [1.7e308, 1.7e308], day(1)))
+        assert mswr([day(0), day(1)], [1e100, 1.0], day(1)) == pytest.approx(2 ** -0.5)
+        assert acwr([day(0), day(9)], [1e307, 1e307], day(9)) == 1.0
+
 
 class TestMatchesReference:
     @pytest.mark.parametrize("seed,n_players", [(7, 26), (11, 26), (7, 104)])

@@ -208,6 +208,9 @@ class TestPlainFloats:
         assert _week_monotony([4000.0]) == MSWR_CAP  # a single value
         assert _week_monotony([3882.94] * 7) == MSWR_CAP
         assert _week_monotony([100.0, 100.0001]) == MSWR_CAP  # the ratio is capped
+        with np.errstate(over="ignore"):  # squared deviations that overflow give NaN
+            assert np.isnan(_week_monotony([1e200, 1.0]))
+            assert np.isnan(mswr(dates[:2], [1e200, 1.0], dates[1]))
 
     def test_tenths_match_numpy_round(self):
         rng = np.random.default_rng(0)

@@ -442,7 +442,7 @@ class TestApply:
 
     @staticmethod
     def _routed(model, X, y, data, stop, feature):
-        got = model._apply(data.cols.T, stop, data.live[feature])
+        got = model._apply(data.X, stop, data.live[feature])
         want = model._apply(np.ascontiguousarray(X[:, data.live]), stop, feature)
         np.testing.assert_array_equal(got, want)
         assert stop[got].all()
@@ -470,6 +470,17 @@ class TestApply:
 
 
 class TestPresorted:
+    def test_holds_a_float_c_ordered_table_without_a_copy(self):
+        t = rand_table(n=30, p=3, seed=1)
+        assert t.X.dtype == float and t.X.flags.c_contiguous
+        assert np.shares_memory(Presorted(t).X, t.X)
+        assert np.shares_memory(Presorted(t.X, t.y).X, t.X)
+        # any other layout or dtype is copied into one
+        fortran = np.asfortranarray(t.X)
+        got = Presorted(fortran, t.y).X
+        assert got.flags.c_contiguous and not np.shares_memory(got, fortran)
+        np.testing.assert_array_equal(got, t.X)
+
     def test_order_is_stable_argsort_of_each_column(self):
         t = rand_table(n=30, p=3, n_pos=9, seed=3)
         t.X[::3, 1] = 0.5  # ties must stay in row order
@@ -489,9 +500,9 @@ class TestPresorted:
             got = got.drop(k)
             kept.pop(k)
             want = Presorted(X[:, kept], y, [names[i] for i in kept])
-            assert np.shares_memory(got.cols, full.cols)
+            assert np.shares_memory(got.X, full.X)
             assert np.shares_memory(got.rows, full.rows)
-            np.testing.assert_array_equal(got.cols[got.live], want.cols)
+            np.testing.assert_array_equal(got.X[:, got.live], want.X)
             np.testing.assert_array_equal(got.rows[got.live], want.rows)
             assert got.feature_names == want.feature_names
 
@@ -522,8 +533,8 @@ class TestPresorted:
         folds = stratified_kfold(t.y, 3, 1)
         for idx in [train for train, _ in folds] + [np.sort(rng.choice(70, 9, replace=False))]:
             got, want = data.take(idx), Presorted(t.take(idx))
-            assert got.cols.flags.c_contiguous
-            for name in ("cols", "rows", "y", "live"):
+            assert got.X.flags.c_contiguous
+            for name in ("X", "rows", "y", "live"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
             assert got.feature_names == want.feature_names
 
@@ -657,6 +668,23 @@ class TestBufferedSplit:
             labels = rng.integers(0, 2, size=(c, n))
             sv, sy = self._node(values, labels)
             self._assert_bit_equal(sv, sy, min_leaf, c * n + int(rng.integers(0, 50)))
+
+    @pytest.mark.parametrize("min_leaf", [1, 3])
+    def test_label_sums_in_the_float_labels_own_buffer(self, min_leaf):
+        # as _grow calls it: the first scratch buffer holds the labels as floats
+        rng = np.random.default_rng(11)
+        sv, sy = self._node(rng.integers(0, 5, size=(4, 90)).astype(float),
+                            rng.integers(0, 2, size=(4, 90)))
+        room = sy.size + 13
+        labels = np.full(room, np.nan)
+        labels[:sy.size] = sy.ravel()
+        scratch = (labels, np.full(room, 7.5), np.full(room, -np.inf),
+                   np.ones(room, dtype=bool))
+        got = tree._best_split(sv, labels[:sy.size].reshape(sy.shape), min_leaf, scratch)
+        want = reference_best_split(sv, sy, min_leaf)
+        assert (got[0], np.float64(got[1]).tobytes(), np.float64(got[2]).tobytes(),
+                got[3].tobytes()) == (want[0], np.float64(want[1]).tobytes(),
+                                      np.float64(want[2]).tobytes(), want[3].tobytes())
 
     def test_constant_columns_beside_a_splittable_one(self):
         rng = np.random.default_rng(3)
@@ -887,7 +915,7 @@ class TestChainedRefit:
             _grow(Presorted(X[:, :1], y), prev=prev, dropped=1, max_features=1)
 
 
-ONE_BLOCK = tree._BLOCK  # the package's block: every search in these tests fits in one
+ONE_BLOCK = 1 << 30  # more values than any search here reads: each fits in one block
 
 
 @pytest.fixture(params=[1, 80])
@@ -952,6 +980,20 @@ class TestBlockedSearch:
         assert blocked.to_json() == one_block.to_json()
         np.testing.assert_array_equal(blocked._minima, one_block._minima)
 
+    @pytest.mark.parametrize("block", [1, 7, 80, ONE_BLOCK])
+    def test_split_rows_is_a_stable_filter_of_each_column(self, monkeypatch, block):
+        monkeypatch.setattr(tree, "_BLOCK", block)
+        rng = np.random.default_rng(block)
+        mask = rng.uniform(size=50) < 0.4
+        for width in (np.int32, np.intp):
+            rows = np.array([rng.permutation(50) for _ in range(6)], dtype=width)
+            inside, outside = tree._split_rows(rows, mask, (mask.sum(), 50 - mask.sum()))
+            only, = tree._split_rows(rows, mask, (mask.sum(),))
+            for got, keep in ((inside, mask), (outside, ~mask), (only, mask)):
+                assert got.dtype == width and got.flags.c_contiguous
+                np.testing.assert_array_equal(
+                    got, [column[keep[column]] for column in rows])
+
     def test_peak_memory_is_bounded_by_the_block(self):
         # one (candidates x rows) buffer row would be 20 x 30,000 values, and
         # five of them alone 5x X.nbytes
@@ -965,7 +1007,9 @@ class TestBlockedSearch:
         assert peak < 7 * table.X.nbytes
 
     def test_int32_rows_keep_a_depth_5_fit_under_five_tables(self):
-        # the fit's peak is 4.5x X.nbytes with int32 rows and 6.0x with intp rows
+        # the fit reads X in place and filters child rows in blocks: its peak is
+        # 1.9x X.nbytes with int32 rows, most of it the sorted rows (0.5x) and the
+        # child rows of the nodes on the stack
         table = rand_table(n=30000, p=20, n_pos=3000, seed=0)
         tracemalloc.start()
         try:
@@ -973,4 +1017,4 @@ class TestBlockedSearch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5 * table.X.nbytes
+        assert peak < 2.5 * table.X.nbytes
